@@ -170,18 +170,26 @@ def _cmd_reduce(args, parser) -> int:
     t0 = time.perf_counter()
     report = Report(command="reduce", config=config, seed=args.seed)
     threshold = tol("reduce.residual", TOL_REDUCE)
+
+    def reject(check: CheckRecord, exc: Exception, **extra) -> int:
+        report.checks.append(check)
+        report.extra = {"error": str(exc), **extra}
+        report.wall_time_s = time.perf_counter() - t0
+        _emit(report, args.out)
+        return 1
+
     try:
         t = ConfigTuple.from_vectors(space, vectors)
         reducer = {3: reduce_triple, 4: reduce_quadruple, 5: reduce_quintuple}[t.k]
         result = reducer(t, branch=args.branch)
     except (GenericityError, ValueError) as exc:
         failing = getattr(exc, "failing", "input")
-        report.checks.append(CheckRecord(f"reduce.generic.{failing}", 1,
-                                         float("inf"), threshold))
-        report.extra = {"error": str(exc), "failing": failing}
-        report.wall_time_s = time.perf_counter() - t0
-        _emit(report, args.out)
-        return 1
+        return reject(CheckRecord(f"reduce.generic.{failing}", 1, float("inf"), threshold),
+                      exc, failing=failing)
+    except RuntimeError as exc:
+        # A numerical failure on an input that passed its certificate,
+        # reported as one failed reduction against a threshold of 0.
+        return reject(CheckRecord("reduce.numerical", 1, 1.0, 0.0), exc)
     report.checks.append(CheckRecord("reduce.residual", 1, result.residual, threshold))
     cert = genericity(t)
     report.extra = {

@@ -10,6 +10,13 @@ The second half of the module specializes n = 4 to the rank-2 even
 orthogonal space: boundary points are pairs of ruling planes (l+_a, l-_b),
 each pair determines a flag, and the restricted cocycle has the closed form
 B_4(F_inf, F_0, F_1, F_(a,b)) = 2 (D(a) + D(b)).
+
+Each construction is written once.  One batched sigma_3 kernel computes the
+classes of any number of (flags, J) pairs, with every denominator given as
+the flags' orthonormal bases side by side and the columns past j_i zeroed;
+``t_j``, ``b_n``, ``contributing_j`` and ``b4_so4_batch`` all call it.  One
+batched function makes the chains of boundary flags; ``BoundaryPoint.flag``,
+``rho_flag`` and ``b4_so4_batch`` all call it.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .forms import RANK_RTOL, FormedSpace, GroupElement, make_space, normalize_projective
-from .dilog import bloch_wigner, vol_p1, vol_p1_batch
+from .dilog import vol_p1, vol_p1_batch
 
 _RANK_CUT = 1e-8  # relative singular-value threshold for all rank decisions
 
@@ -141,40 +148,82 @@ class Sigma3Class:
         return bool(norms.min() > rtol * max(self.scale, 1e-300))
 
 
-def t_j(flags: Sequence[AffineFlag], J: Sequence[int]) -> Sigma3Class:
-    """The sigma_3 class of four flags at the index tuple J in {0..n-1}^4.
+def _sigma3(ortho: np.ndarray, vecs: np.ndarray, J: np.ndarray):
+    """The sigma_3 classes of K (flag 4-tuple, index tuple) pairs in one batch.
 
-    The quotient (F_0^{j_0+1} + ...) / (F_0^{j_0} + ...) is realized on the
-    orthogonal complement of the denominator span; the images are the chain
-    vectors v_i^{j_i+1} projected there.  Because the numerator is the
-    denominator plus the span of those chain vectors, the projections span
-    the whole quotient.
+    ``ortho`` and ``vecs`` stack the four flags' orthonormal bases and chain
+    vectors as (K, 4, n, n) blocks (a leading 1 broadcasts); ``J`` is (K, 4).
+    The denominator F_0^{j_0} + ... is the four bases side by side with the
+    columns past j_i zeroed (columns that no class of the batch keeps are
+    left out), so one SVD batch covers every |J| and |J| = 0 is a block of
+    rank 0.  The quotient is realized on the orthogonal complement of the
+    denominator; the images are the chain vectors v_i^{j_i+1} projected
+    there, and they span the whole quotient because the numerator is the
+    denominator plus the span of those chain vectors.
+
+    Returns ``(m, images, scale, plane, vols)``, each with leading axis K:
+    the quotient dimension; the image coordinates, (min(n, 4), 4) blocks whose
+    first m rows are those in an orthonormal basis of the quotient; the
+    magnitude of the chain vectors, the reference for deciding which image
+    components are numerically zero; whether the quotient is a plane with no
+    vanishing image; and the ideal volume of those planes (0 elsewhere).
     """
-    flags = list(flags)
-    if len(flags) != 4:
-        raise ValueError("t_j takes exactly four flags")
-    n = flags[0].n
-    J = tuple(int(j) for j in J)
-    if len(J) != 4 or any(j < 0 or j >= n for j in J):
-        raise ValueError(f"index tuple must lie in {{0..{n - 1}}}^4, got {J}")
-    raw = np.column_stack([f.vector(j) for f, j in zip(flags, J)])  # (n, 4)
-    scale = float(np.linalg.norm(raw))
-    s = sum(J)
-    if s:
-        den = np.concatenate([f.prefix(j) for f, j in zip(flags, J)], axis=1)
-        u, sv, _ = np.linalg.svd(den, full_matrices=False)
-        rank = int(np.count_nonzero(sv > _RANK_CUT * sv[0])) if sv[0] > 0 else 0
-        basis = u[:, :rank]
-        proj = raw - basis @ (basis.conj().T @ raw)
-    else:
-        proj = raw
+    k = len(J)
+    keep = np.arange(ortho.shape[-1]) < J[:, :, None]                # (K, 4, n)
+    used = keep.any(axis=0)
+    den = np.moveaxis(ortho, 1, 2)[:, :, used] * keep[:, None, used]  # (K, n, columns)
+    raw = np.take_along_axis(vecs, J[:, :, None, None], axis=3)[..., 0].swapaxes(1, 2)
+    scale = np.linalg.norm(raw, axis=(1, 2))
+    u, sv, _ = np.linalg.svd(den, full_matrices=False)
+    span = u * (sv > _RANK_CUT * np.maximum(sv[:, :1], 1e-300))[:, None, :]
+    proj = raw - span @ (span.conj().swapaxes(1, 2) @ raw)
     uw, sw, _ = np.linalg.svd(proj, full_matrices=False)
     # Rank relative to the chain vectors' own magnitude: when the projection
     # annihilates them (numerator = denominator) the residue is rounding noise
     # and must count as rank zero, not as a full-rank spray of noise.
-    m = int(np.count_nonzero(sw > _RANK_CUT * scale)) if scale > 0 else 0
-    images = uw[:, :m].conj().T @ proj  # (m, 4)
-    return Sigma3Class(m=m, images=images, scale=scale)
+    m = np.count_nonzero(sw > _RANK_CUT * scale[:, None], axis=1)
+    images = uw.conj().swapaxes(1, 2) @ proj
+    norms = np.linalg.norm(images[:, :2], axis=1)                    # (K, 4)
+    plane = (m == 2) & (norms.min(axis=1) > _RANK_CUT * np.maximum(scale, 1e-300))
+    vols = np.zeros(k)
+    if plane.any():
+        vols[plane] = vol_p1_batch(images[plane, :2].swapaxes(1, 2))  # points as rows
+    return m, images, scale, plane, vols
+
+
+@lru_cache(maxsize=None)
+def _all_j(n: int) -> np.ndarray:
+    """Every index tuple in {0..n-1}^4, as a read-only (n^4, 4) array."""
+    js = np.array(list(product(range(n), repeat=4)))
+    js.setflags(write=False)
+    return js
+
+
+def _four(flags: Sequence[AffineFlag], caller: str) -> list[AffineFlag]:
+    flags = list(flags)
+    if len(flags) != 4:
+        raise ValueError(f"{caller} takes exactly four flags")
+    return flags
+
+
+def _classes(flags: list[AffineFlag], J):
+    """The sigma_3 kernel on one 4-tuple of flags at the index tuples J."""
+    ortho = np.stack([f.ortho for f in flags])[None]
+    vecs = np.stack([f.vecs for f in flags])[None]
+    return _sigma3(ortho, vecs, np.asarray(J).reshape(-1, 4))
+
+
+def t_j(flags: Sequence[AffineFlag], J: Sequence[int]) -> Sigma3Class:
+    """The sigma_3 class of four flags at the index tuple J in {0..n-1}^4:
+    the quotient (F_0^{j_0+1} + ...) / (F_0^{j_0} + ...) with the images of
+    the chain vectors v_i^{j_i+1} in it."""
+    flags = _four(flags, "t_j")
+    n = flags[0].n
+    J = tuple(int(j) for j in J)
+    if len(J) != 4 or any(j < 0 or j >= n for j in J):
+        raise ValueError(f"index tuple must lie in {{0..{n - 1}}}^4, got {J}")
+    m, images, scale, _, _ = _classes(flags, J)
+    return Sigma3Class(m=int(m[0]), images=images[0, :m[0]], scale=float(scale[0]))
 
 
 def vol_sigma3(c: Sigma3Class) -> float:
@@ -197,27 +246,17 @@ def b_n(flags: Sequence[AffineFlag]) -> float:
     Alternating and GL_n(C)-invariant; for flags in general position only the
     index tuples with |J| = n-2 contribute.
     """
-    flags = list(flags)
-    if len(flags) != 4:
-        raise ValueError("b_n takes exactly four flags")
-    n = flags[0].n
-    total = 0.0
-    for J in product(range(n), repeat=4):
-        total += vol_sigma3(t_j(flags, J))
-    return total
+    flags = _four(flags, "b_n")
+    return float(_classes(flags, _all_j(flags[0].n))[4].sum())
 
 
 def contributing_j(flags: Sequence[AffineFlag]) -> list[tuple[int, ...]]:
     """Index tuples whose sigma_3 class is structurally nontrivial (quotient
     a plane, all images nonzero) — exactly n(n^2-1)/6 in general position."""
-    flags = list(flags)
-    n = flags[0].n
-    out = []
-    for J in product(range(n), repeat=4):
-        c = t_j(flags, J)
-        if c.m == 2 and c.nonzero_images():
-            out.append(J)
-    return out
+    flags = _four(flags, "contributing_j")
+    js = _all_j(flags[0].n)
+    plane = _classes(flags, js)[3]
+    return [tuple(int(j) for j in J) for J in js[plane]]
 
 
 def cocycle_residual(flags: Sequence[AffineFlag]) -> float:
@@ -265,22 +304,27 @@ class BoundaryPoint:
     def flag(self, *, variant: str = "plus") -> AffineFlag:
         lplus, lminus = self.lines()
         first, second = (lplus, lminus) if variant == "plus" else (lminus, lplus)
-        chain = [self.vector()]  # the intersection line, in closed form
-        eye = np.eye(4, dtype=complex)
-        chain.append(_extend_chain(chain, [first, second, eye]))
-        chain.append(_extend_chain(chain, [second, first, eye]))
-        chain.append(_extend_chain(chain, [eye]))
-        return AffineFlag.create(np.column_stack(chain))
+        # The intersection line, in closed form, starts the chain.
+        return AffineFlag.create(_flag_chains(self.vector()[None], first[None], second[None])[0])
 
 
-def boundary_lines(a: complex, b: complex) -> tuple[np.ndarray, np.ndarray]:
+def _params(a, b) -> tuple[np.ndarray, np.ndarray]:
+    return np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+
+
+def boundary_lines(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Bases of the two ruling planes through the boundary point (a, b):
     l+_a = <e1 - a f2, e2 + a f1> and l-_b = <e1 + b e2, b f1 - f2>, each
-    totally isotropic, as (4, 2) column blocks in the basis (e2, e1, f1, f2)."""
-    a = complex(a)
-    b = complex(b)
-    lplus = np.array([[0, 1], [1, 0], [0, a], [-a, 0]], dtype=complex)
-    lminus = np.array([[b, 0], [1, 0], [0, b], [0, -1]], dtype=complex)
+    totally isotropic, as (4, 2) column blocks in the basis (e2, e1, f1, f2).
+    Arrays of parameters give (..., 4, 2) stacks."""
+    a, b = _params(a, b)
+    one, zero = np.ones_like(a), np.zeros_like(a)
+
+    def block(rows):
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+    lplus = block([(zero, one), (one, zero), (zero, a), (-a, zero)])
+    lminus = block([(b, zero), (one, zero), (zero, b), (zero, np.full_like(a, -1))])
     return lplus, lminus
 
 
@@ -295,25 +339,29 @@ def infinity_lines() -> tuple[np.ndarray, np.ndarray]:
     return lplus, lminus
 
 
-def _extend_chain(chain: list[np.ndarray], pools: Sequence[np.ndarray]) -> np.ndarray:
-    """First pool vector extending the chain span, by relative residual; the
-    later pools are deterministic fallbacks."""
-    q, _ = np.linalg.qr(np.column_stack(chain))
-    best = None
-    best_res = 0.0
-    for pool in pools:
-        for cand in pool.T:
-            nc = np.linalg.norm(cand)
-            if nc == 0:
-                continue
-            res = np.linalg.norm(cand - q @ (q.conj().T @ cand)) / nc
-            if res > 1e-6:
-                return cand
-            if res > best_res:
-                best, best_res = cand, res
-    if best is None or best_res <= 1e-12:
-        raise ValueError("could not extend the flag chain (degenerate planes)")
-    return best
+def _flag_chains(v1: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Chain vectors of B boundary flags <v1> ⊂ first ⊂ first + second ⊂ C^4.
+
+    ``v1`` is (B, 4) and the plane bases are (B, 4, 2).  Each step appends
+    the first generator of its pool — (first, second, standard basis), then
+    (second, first, standard basis), then the standard basis — whose residual
+    off the chain so far exceeds 1e-6 of its norm, else the one with the
+    largest residual.  Returns the (B, 4, 4) chain matrices.
+    """
+    rows = np.arange(len(v1))
+    eye = np.broadcast_to(np.eye(4, dtype=complex), (len(v1), 4, 4))
+    chain = v1[:, :, None]
+    for pool in (np.concatenate([first, second, eye], axis=2),
+                 np.concatenate([second, first, eye], axis=2), eye):
+        q, _ = np.linalg.qr(chain)
+        off = pool - q @ (q.conj().swapaxes(1, 2) @ pool)
+        res = np.linalg.norm(off, axis=1) / np.maximum(np.linalg.norm(pool, axis=1), 1e-300)
+        good = res > 1e-6
+        pick = np.where(good.any(axis=1), good.argmax(axis=1), res.argmax(axis=1))
+        if np.any(res[rows, pick] <= 1e-12):
+            raise ValueError("could not extend the flag chain (degenerate planes)")
+        chain = np.concatenate([chain, pool[rows, :, pick][:, :, None]], axis=2)
+    return chain
 
 
 def rho_flag(lplus: np.ndarray, lminus: np.ndarray, *, variant: str = "plus") -> AffineFlag:
@@ -340,12 +388,8 @@ def rho_flag(lplus: np.ndarray, lminus: np.ndarray, *, variant: str = "plus") ->
     v1 = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
     if np.linalg.norm(v1) < 1e-12:
         raise ValueError("degenerate plane bases")
-    chain = [normalize_projective(v1)]
-    eye = np.eye(4, dtype=complex)
-    chain.append(_extend_chain(chain, [first, second, eye]))
-    chain.append(_extend_chain(chain, [second, first, eye]))
-    chain.append(_extend_chain(chain, [eye]))
-    return AffineFlag.create(np.column_stack(chain))
+    v1 = normalize_projective(v1)
+    return AffineFlag.create(_flag_chains(v1[None], first[None], second[None])[0])
 
 
 def flag_infinity() -> AffineFlag:
@@ -414,102 +458,28 @@ def b4_so4(a: complex, b: complex) -> float:
     return b_n([f_inf, f0, f1, standard_flags_so4(a, b)])
 
 
-def _batched_orthobasis(cols: np.ndarray, ranks_cut: float = _RANK_CUT):
-    """Batched SVD orthobasis with per-row rank masking.
-
-    cols: (B, n, s) -> (u, mask) where u is (B, n, min(n, s)) and mask[i, k]
-    flags the columns of u that belong to the row's numerical column space.
-    """
-    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    top = sv[..., :1]
-    mask = sv > ranks_cut * np.maximum(top, 1e-300)
-    return u, mask
-
-
-def _project_off(u: np.ndarray, mask: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w - P w for the masked-rank projector P = u diag(mask) u^H (batched)."""
-    coeff = np.einsum("bnk,bn->bk", u.conj(), w) * mask
-    return w - np.einsum("bnk,bk->bn", u, coeff)
-
-
-def _pick_extension(cands: list[np.ndarray], span: np.ndarray, span_mask: np.ndarray) -> np.ndarray:
-    """Batched chain extension: first candidate with residual > 1e-6 of its
-    norm, else the residual argmax (mirrors the scalar fallback rule)."""
-    b = cands[0].shape[0]
-    res = np.empty((len(cands), b))
-    for i, c in enumerate(cands):
-        r = _project_off(span, span_mask, c)
-        res[i] = np.linalg.norm(r, axis=1) / np.maximum(np.linalg.norm(c, axis=1), 1e-300)
-    good = res > 1e-6
-    # index of the first good candidate, falling back to the argmax
-    first = np.where(good.any(axis=0), good.argmax(axis=0), res.argmax(axis=0))
-    stacked = np.stack(cands, axis=0)  # (c, B, 4)
-    return np.take_along_axis(stacked, first[None, :, None], axis=0)[0]
-
-
 def b4_so4_batch(a, b) -> np.ndarray:
     """Vectorized b4_so4 over arrays of boundary parameters.
 
-    Evaluates the same quotient construction as ``b_n`` but only over the
-    contributing index tuples, with batched linear algebra; degenerate rows
-    fall back to 0 exactly as in the scalar path.
+    Builds the varying flags with the same chain function as the scalar path
+    and runs the sigma_3 kernel over the contributing index tuples only, one
+    tuple at a time over all rows; degenerate rows give 0 exactly as in the
+    scalar path.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    a, b = np.broadcast_arrays(a, b)
+    a, b = _params(a, b)
     shape = a.shape
-    a = a.ravel()
-    b = b.ravel()
+    a, b = a.ravel(), b.ravel()
     nb = a.size
-    one = np.ones(nb, dtype=complex)
-    zero = np.zeros(nb, dtype=complex)
-
-    # Chain vectors of F_(a,b), batched, mirroring standard_flags_so4.
-    phi = np.stack([b, one, a * b, -a], axis=1)            # (B, 4)
-    g1p = np.stack([zero, one, zero, -a], axis=1)          # e1 - a f2
-    g2p = np.stack([one, zero, a, zero], axis=1)           # e2 + a f1
-    g1m = np.stack([b, one, zero, zero], axis=1)           # e1 + b e2
-    g2m = np.stack([zero, zero, b, -one], axis=1)          # b f1 - f2
-    eye = [np.broadcast_to(np.eye(4, dtype=complex)[k], (nb, 4)) for k in range(4)]
-
-    chain = np.empty((nb, 4, 4), dtype=complex)
-    chain[:, :, 0] = phi
-    u1, m1 = _batched_orthobasis(chain[:, :, :1])
-    chain[:, :, 1] = _pick_extension([g1p, g2p, g1m, g2m] + eye, u1, m1)
-    u2, m2 = _batched_orthobasis(chain[:, :, :2])
-    chain[:, :, 2] = _pick_extension([g1m, g2m, g1p, g2p] + eye, u2, m2)
-    u3, m3 = _batched_orthobasis(chain[:, :, :3])
-    chain[:, :, 3] = _pick_extension(eye, u3, m3)
-
-    # Batched orthonormal prefixes of the varying flag.
+    lplus, lminus = boundary_lines(a, b)
+    phi = np.stack([b, np.ones_like(a), a * b, -a], axis=1)  # BoundaryPoint.vector, batched
+    chain = _flag_chains(phi, lplus, lminus)
     q_var, _ = np.linalg.qr(chain)
-
-    f_inf, f0, f1 = _so4_fixed()
-    fixed = [f_inf, f0, f1]
+    fixed = _so4_fixed()
+    ortho = np.concatenate([np.broadcast_to(np.stack([f.ortho for f in fixed]), (nb, 3, 4, 4)),
+                            q_var[:, None]], axis=1)
+    vecs = np.concatenate([np.broadcast_to(np.stack([f.vecs for f in fixed]), (nb, 3, 4, 4)),
+                           chain[:, None]], axis=1)
     total = np.zeros(nb)
     for J in _so4_contributing():
-        j4 = J[3]
-        blocks = [np.broadcast_to(f.prefix(j), (nb, 4, j)) for f, j in zip(fixed, J[:3])]
-        blocks.append(q_var[:, :, :j4])
-        raws = [np.broadcast_to(f.vector(j), (nb, 4)) for f, j in zip(fixed, J[:3])]
-        raws.append(chain[:, :, j4])
-        raw_stack = np.stack(raws, axis=2)                    # (B, 4, 4)
-        rscale = np.maximum(np.linalg.norm(raw_stack, axis=(1, 2)), 1e-300)
-        s = sum(J)
-        if s:
-            den = np.concatenate(blocks, axis=2)
-            u, mask = _batched_orthobasis(den)
-            imgs = np.stack([_project_off(u, mask, w) for w in raws], axis=2)  # (B, 4, 4)
-        else:
-            imgs = raw_stack
-        uw, sw, _ = np.linalg.svd(imgs)
-        # Rank relative to the chain vectors' magnitude, as in t_j: a projection
-        # that annihilates them must read as rank 0, not as noise rank.
-        rank = (sw > _RANK_CUT * rscale[:, None]).sum(axis=1)
-        u2c = uw[:, :, :2]
-        coords = np.einsum("bnk,bnj->bkj", u2c.conj(), imgs)  # (B, 2, 4)
-        norms = np.linalg.norm(coords, axis=1)                # (B, 4)
-        ok = (rank == 2) & (norms.min(axis=1) > _RANK_CUT * rscale)
-        vols = vol_p1_batch(coords.swapaxes(1, 2))            # points as rows
-        total += np.where(ok, vols, 0.0)
+        total += _sigma3(ortho, vecs, np.broadcast_to(J, (nb, 4)))[4]
     return total.reshape(shape)

@@ -184,6 +184,17 @@ def so4_rank2_relation(t: ConfigTuple, *, tol: float = TOL_GENERIC) -> float:
     return abs(q_tilde) / max(1.0, float(np.linalg.norm(coeffs)) ** 2)
 
 
+def _certified(build, *args):
+    """Call ``witt_complete`` or ``GroupElement.create`` on pairs or matrices
+    built from an input that has already been certified.  A ``ValueError``
+    there is a numerical failure, not bad input, so it is re-raised as
+    ``RuntimeError`` with the same message."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise RuntimeError(str(exc)) from exc
+
+
 # ----------------------------------------------------------------------
 # Mapping a vector onto an equal-q model vector
 # ----------------------------------------------------------------------
@@ -218,10 +229,10 @@ def _adapted_basis_for(space: FormedSpace, x: np.ndarray, qx: complex,
         w = c / space.omega(x, c)
         if space.eps == +1:
             w = w - (space.q(w) / 2) * x
-        return witt_complete(space, [(x, w)])
+        return _certified(witt_complete, space, [(x, w)])
     f_vec = c / space.omega(x, c)
     e_vec = x - (qx / 2) * f_vec
-    return witt_complete(space, [(e_vec, f_vec)])
+    return _certified(witt_complete, space, [(e_vec, f_vec)])
 
 
 def map_vector(space: FormedSpace, x: np.ndarray, target: np.ndarray, *,
@@ -251,7 +262,7 @@ def map_vector(space: FormedSpace, x: np.ndarray, target: np.ndarray, *,
     b_x = _adapted_basis_for(space, x, qx, isotropic)
     b_t = _adapted_basis_for(space, target, qt, isotropic)
     inv_x = space.eps * (space.J @ b_x.T @ space.J)
-    g = GroupElement.create(space, b_t @ inv_x)
+    g = _certified(GroupElement.create, space, b_t @ inv_x)
     moved = g.m @ x
     err = float(np.linalg.norm(moved - target)) / np.sqrt(scale)
     if err > max(tol, 100 * abs(qx - qt) / scale):
@@ -327,8 +338,8 @@ def reduce_triple(t: ConfigTuple, *, tol: float = TOL_REDUCE, branch: int = +1) 
             failing=cert.failing or cert.level)
     sqrt_pi, lam = _lambda_scale(t.pairings, branch)
     e_r, f_r = _outer_pair(t, sqrt_pi, lam)
-    basis = witt_complete(space, [(e_r, f_r)])
-    g1 = GroupElement.create(space, basis.T @ space.J)
+    basis = _certified(witt_complete, space, [(e_r, f_r)])
+    g1 = _certified(GroupElement.create, space, basis.T @ space.J)
     y = g1.m @ t.vector(2)
     endpoint = max(abs(y[0] - lam), abs(y[-1] - lam)) / max(1.0, abs(lam))
     inner = space.middle()
@@ -382,8 +393,8 @@ def reduce_quadruple(t: ConfigTuple, *, tol: float = TOL_REDUCE, branch: int = +
     sol = np.linalg.solve(m2, rhs)   # columns: coefficients of e', f' on (hat2, hat3)
     e_in = sol[0, 0] * hat2 + sol[1, 0] * hat3
     f_in = sol[0, 1] * hat2 + sol[1, 1] * hat3
-    basis = witt_complete(space, [(e_r, f_r), (e_in, f_in)])
-    g = GroupElement.create(space, basis.T @ space.J)
+    basis = _certified(witt_complete, space, [(e_r, f_r), (e_in, f_in)])
+    g = _certified(GroupElement.create, space, basis.T @ space.J)
     canonical = phi3(space, a1, a2)
     residual = _moved_residual(t, g, canonical)
     condition = float(max(np.linalg.cond(basis), np.linalg.cond(m2),

@@ -111,8 +111,9 @@ def _canonical_gap(a, b) -> float:
 
 
 def suite_reductions(eps, d, r, trials, seed, tol) -> list[CheckRecord]:
-    """Round-trips of the parametrizations, reduction residuals, and
-    invariance of canonical tuples under random isometries."""
+    """Round-trips of the parametrizations, reduction residuals, invariance
+    of canonical tuples under random isometries, and the number of trials
+    that end in a numerical failure (``RuntimeError``) of a reducer."""
     space = make_space(eps, d, r)
     label = f"suite.reductions.{eps}.{d}.{r}"
     quint_ok = r >= min_rank(eps, d) + 1
@@ -121,38 +122,43 @@ def suite_reductions(eps, d, r, trials, seed, tol) -> list[CheckRecord]:
     def bump(key: str, val: float) -> None:
         worst[key] = max(worst.get(key, 0.0), float(val))
 
+    numerical = 0  # trials ending in a numerical failure of a reducer
     for i in range(trials):
         rng = rng_for(seed, label, i)
-        # parametrization round-trips
-        a = tuple(rng.normal(size=2) @ np.array([1, 1j]) for _ in range(2))
-        t3 = phi3(space, *a)
-        bump("roundtrip.pi3-phi3", max(abs(x - y) / max(1.0, abs(y))
-                                       for x, y in zip(pi3(t3), a)))
-        if quint_ok:
-            x = tuple(rng.normal(size=2) @ np.array([1, 1j]) for _ in range(5))
-            t4 = phi4(space, x[:2], x[2:4], x[4])
-            bump("roundtrip.pi4-phi4", max(abs(u - y) / max(1.0, abs(y))
-                                           for u, y in zip(pi4(t4), x)))
-        # reductions of random generic tuples
-        rt = reduce_triple(random_generic_tuple(space, 3, rng))
-        bump("reduce.triple", rt.residual)
-        t = random_generic_tuple(space, 4, rng)
-        rq = reduce_quadruple(t)
-        bump("reduce.quadruple", rq.residual)
-        g = random_group_element(space, rng)
-        rq2 = reduce_quadruple(t.apply(g))
-        bump("invariance.quadruple", _canonical_gap(rq.canonical, rq2.canonical))
-        if quint_ok:
-            t5 = random_generic_tuple(space, 5, rng)
-            r5 = reduce_quintuple(t5)
-            bump("reduce.quintuple", r5.residual)
-            r52 = reduce_quintuple(t5.apply(g))
-            bump("invariance.quintuple", _canonical_gap(r5.canonical, r52.canonical))
+        try:
+            # parametrization round-trips
+            a = tuple(rng.normal(size=2) @ np.array([1, 1j]) for _ in range(2))
+            t3 = phi3(space, *a)
+            bump("roundtrip.pi3-phi3", max(abs(x - y) / max(1.0, abs(y))
+                                           for x, y in zip(pi3(t3), a)))
+            if quint_ok:
+                x = tuple(rng.normal(size=2) @ np.array([1, 1j]) for _ in range(5))
+                t4 = phi4(space, x[:2], x[2:4], x[4])
+                bump("roundtrip.pi4-phi4", max(abs(u - y) / max(1.0, abs(y))
+                                               for u, y in zip(pi4(t4), x)))
+            # reductions of random generic tuples
+            rt = reduce_triple(random_generic_tuple(space, 3, rng))
+            bump("reduce.triple", rt.residual)
+            t = random_generic_tuple(space, 4, rng)
+            rq = reduce_quadruple(t)
+            bump("reduce.quadruple", rq.residual)
+            g = random_group_element(space, rng)
+            rq2 = reduce_quadruple(t.apply(g))
+            bump("invariance.quadruple", _canonical_gap(rq.canonical, rq2.canonical))
+            if quint_ok:
+                t5 = random_generic_tuple(space, 5, rng)
+                r5 = reduce_quintuple(t5)
+                bump("reduce.quintuple", r5.residual)
+                r52 = reduce_quintuple(t5.apply(g))
+                bump("invariance.quintuple", _canonical_gap(r5.canonical, r52.canonical))
+        except RuntimeError:
+            numerical += 1
 
     out = []
     for key in sorted(worst):
         default = 1e-10 if key.startswith("roundtrip") else 1e-8
         out.append(_record(f"reductions.{key}", trials, worst[key], tol, default))
+    out.append(_record("reductions.numerical", trials, numerical, tol, 0.0))
     return out
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fslab._seeding import rng_for
 from fslab.cli import main
 from fslab.crossratios import random_generic_tuple
 from fslab.forms import make_space
@@ -190,6 +191,26 @@ def test_reduce_degenerate_rejection(tmp_path, capsys):
     assert data["failing"] == "delta"
     assert data["checks"][0]["name"] == "reduce.generic.delta"
     assert "FIRST FAILURE" in err
+
+
+def test_reduce_numerical_failure_is_reported(tmp_path, capsys):
+    # A cr-generic quadruple on which Witt completion fails numerically: the
+    # failure is a report with the check reduce.numerical, not a traceback.
+    space = make_space(1, 1, 6)
+    t = random_generic_tuple(space, 5, rng_for(0, "x", 52))
+    payload = {
+        "epsilon": 1, "d": 1, "r": 6,
+        "points": [[[float(z.real), float(z.imag)] for z in t.vector(i)]
+                   for i in range(4)],
+    }
+    path = write_payload(tmp_path, payload)
+    code, out, err = run_cli(["reduce", "--in", path], capsys)
+    assert code == 1
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert [c["name"] for c in data["checks"]] == ["reduce.numerical"]
+    assert data["error"]
+    assert "FIRST FAILURE: reduce.numerical" in err
 
 
 def test_reduce_missing_field_is_usage_error(tmp_path, capsys):

@@ -135,7 +135,7 @@ def test_contributing_counts(n, count):
     assert all(sum(J) == n - 2 for J in js)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_b_n_alternating(n):
     rng = np.random.default_rng(10 + n)
     flags = list(random_flag_tuple(n, 4, rng))
@@ -146,7 +146,7 @@ def test_b_n_alternating(n):
         assert abs(b_n(swapped) + base) <= 1e-9 * max(1.0, abs(base))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_b_n_gl_invariant(n):
     rng = np.random.default_rng(20 + n)
     flags = list(random_flag_tuple(n, 4, rng))
@@ -155,6 +155,67 @@ def test_b_n_gl_invariant(n):
         g = random_gl(n, rng)
         moved = [AffineFlag.create(g @ f.vecs) for f in flags]
         assert abs(b_n(moved) - base) <= 1e-9 * max(1.0, abs(base))
+
+
+def _reference_class(flags, J):
+    """One sigma_3 class the direct way: project the chain vectors off the
+    span of the concatenated prefixes, then read the quotient off an SVD."""
+    raw = np.column_stack([f.vector(j) for f, j in zip(flags, J)])
+    scale = np.linalg.norm(raw)
+    proj = raw
+    if sum(J):
+        den = np.concatenate([f.prefix(j) for f, j in zip(flags, J)], axis=1)
+        u, sv, _ = np.linalg.svd(den, full_matrices=False)
+        basis = u[:, :int(np.count_nonzero(sv > 1e-8 * sv[0]))]
+        proj = raw - basis @ (basis.conj().T @ raw)
+    uw, sw, _ = np.linalg.svd(proj, full_matrices=False)
+    m = int(np.count_nonzero(sw > 1e-8 * scale))
+    return Sigma3Class(m=m, images=uw[:, :m].conj().T @ proj, scale=scale)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_batched_classes_match_the_per_class_reference(n):
+    """b_n and contributing_j against a loop over all n^4 index tuples, on
+    generic tuples, tuples with a repeated flag and tuples sharing a line."""
+    from itertools import product
+    rng = np.random.default_rng(70 + n)
+    f, g, h, k = random_flag_tuple(n, 4, rng)
+    shared = k.vecs.copy()
+    shared[:, 0] = f.vecs[:, 0]
+    for four in ([f, g, h, k], [f, g, f, h], [f, g, h, AffineFlag.create(shared)]):
+        classes = {J: _reference_class(four, J) for J in product(range(n), repeat=4)}
+        assert abs(b_n(four) - sum(map(vol_sigma3, classes.values()))) <= 1e-12
+        assert contributing_j(four) == [J for J, c in classes.items()
+                                        if c.m == 2 and c.nonzero_images()]
+        for J in [(0, 0, 0, 0), (n - 1,) * 4, (n - 2, 0, 0, 0)]:
+            c = t_j(four, J)
+            assert c.m == classes[J].m
+            assert abs(c.scale - classes[J].scale) <= 1e-12 * c.scale
+
+
+def test_b2_is_bloch_wigner_of_the_first_vectors_cross_ratio():
+    """For n = 2 only J = (0, 0, 0, 0) contributes: B_2 is D of the
+    cross-ratio of the four first chain vectors."""
+    rng = np.random.default_rng(50)
+    for _ in range(20):
+        flags = random_flag_tuple(2, 4, rng)
+        v = [f.vector(0) for f in flags]
+
+        def det(i, j):
+            return v[i][0] * v[j][1] - v[i][1] * v[j][0]
+
+        cr = det(0, 2) * det(1, 3) / (det(0, 3) * det(1, 2))
+        assert abs(b_n(flags) - bloch_wigner(cr)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_b_n_vanishes_on_a_repeated_flag(n):
+    """Alternation forces B_n = 0 when two flags coincide; these tuples reach
+    the classes with m != 2 and with an empty denominator."""
+    rng = np.random.default_rng(60 + n)
+    f, g, h = random_flag_tuple(n, 3, rng)
+    for four in ([f, f, g, h], [f, g, f, h], [g, h, f, f], [f, g, h, g]):
+        assert abs(b_n(four)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
