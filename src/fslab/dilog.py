@@ -8,7 +8,7 @@
 
 continuous on all of C and totalized to 0 at 0, 1 and overflow/infinite
 inputs.  Its maximum value v = D(exp(i pi/3)) ~ 1.01494 is the volume of the
-regular ideal 3-simplex; ``v_max`` computes it by local refinement.
+regular ideal 3-simplex; ``v_max`` returns it.
 
 ``vol_p1`` is the induced volume of a 4-tuple on the projective line, and
 ``d3_infinity`` the alternating five-term combination that a
@@ -32,7 +32,6 @@ __all__ = [
     "li2",
     "bloch_wigner",
     "v_max",
-    "V_REFERENCE",
     "dilog_symmetry_residuals",
     "spence_abel_residual",
     "BoundedFunction2",
@@ -42,9 +41,6 @@ __all__ = [
 ]
 
 PI2_6 = np.pi ** 2 / 6
-
-# Low-precision literature value, used only as a sanity hint.
-V_REFERENCE = 1.0149
 
 
 def _bernoulli_series_coeffs(count: int) -> np.ndarray:
@@ -119,23 +115,8 @@ def bloch_wigner(z):
 
 @lru_cache(maxsize=1)
 def v_max() -> float:
-    """max D = D(exp(i pi/3)), found by pattern search around the hexagonal
-    point and cached for the session."""
-    z = np.exp(1j * np.pi / 3)
-    best = bloch_wigner(z)
-    step = 0.1
-    for _ in range(10000):
-        if step <= 1e-10:
-            break
-        moved = False
-        for dz in (step, -step, 1j * step, -1j * step):
-            cand = z + dz
-            val = bloch_wigner(cand)
-            if val > best:
-                best, z, moved = val, cand, True
-        if not moved:
-            step *= 0.5
-    return float(best)
+    """max D = D(exp(i pi/3)), cached for the session."""
+    return bloch_wigner(np.exp(1j * np.pi / 3))
 
 
 # ----------------------------------------------------------------------
@@ -233,16 +214,7 @@ def vol_p1(p0, p1, p2, p3) -> float:
     homogeneous 2-vectors.  Degenerate quadruples (a vanishing determinant
     pushes the cross-ratio to 0, 1 or infinity) return 0 by totalization.
     """
-    u = [_as_p1_vector(p) for p in (p0, p1, p2, p3)]
-
-    def det(i, j):
-        return u[i][0] * u[j][1] - u[i][1] * u[j][0]
-
-    num = det(0, 2) * det(1, 3)
-    den = det(0, 3) * det(1, 2)
-    if den == 0 or not np.isfinite(den):
-        return 0.0
-    return float(bloch_wigner(num / den))
+    return float(vol_p1_batch(np.stack([_as_p1_vector(p) for p in (p0, p1, p2, p3)])))
 
 
 def vol_p1_batch(u: np.ndarray) -> np.ndarray:
@@ -254,6 +226,5 @@ def vol_p1_batch(u: np.ndarray) -> np.ndarray:
 
     num = det(0, 2) * det(1, 3)
     den = det(0, 3) * det(1, 2)
-    ok = (den != 0) & np.isfinite(den) & np.isfinite(num)
-    cr = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-    return np.where(ok, bloch_wigner(cr), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return bloch_wigner(num / den)  # 0 for the degenerate cross-ratios 0, 1 and non-finite

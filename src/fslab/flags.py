@@ -12,11 +12,12 @@ each pair determines a flag, and the restricted cocycle has the closed form
 B_4(F_inf, F_0, F_1, F_(a,b)) = 2 (D(a) + D(b)).
 
 Each construction is written once.  One batched sigma_3 kernel computes the
-classes of any number of (flags, J) pairs, with every denominator given as
-the flags' orthonormal bases side by side and the columns past j_i zeroed;
-``t_j``, ``b_n``, ``contributing_j`` and ``b4_so4_batch`` all call it.  One
-batched function makes the chains of boundary flags; ``BoundaryPoint.flag``,
-``rho_flag`` and ``b4_so4_batch`` all call it.
+classes of B rows of four flags at a table of index tuples.  One row-batched
+B_n calls it once per row, on the n(n^2-1)/6 classes with |J| = n-2 where a
+batched test certifies general position and on all n^4 elsewhere; ``b_n``,
+``cocycle_residual``, ``b4_so4_batch`` and the ``b-n`` sup problem use it.
+One batched function makes the chains of boundary flags for
+``BoundaryPoint.flag``, ``rho_flag`` and ``b4_so4_batch``.
 """
 
 from __future__ import annotations
@@ -50,11 +51,7 @@ class AffineFlag:
         m = np.asarray(vectors, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"a flag on C^n needs an n x n matrix, got {m.shape}")
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[0] == 0 or sv[-1] <= rtol * sv[0]:
-            raise ValueError(
-                f"flag vectors are not independent (relative smallest singular "
-                f"value {0.0 if sv[0] == 0 else sv[-1] / sv[0]:.3e})")
+        _check_independent(m, rtol)
         return cls(vecs=m)
 
     @property
@@ -79,6 +76,15 @@ class AffineFlag:
         return f"AffineFlag(n={self.n})"
 
 
+def _check_independent(m: np.ndarray, rtol: float = RANK_RTOL) -> None:
+    """``ValueError`` unless every (n, n) block of ``m`` has independent columns."""
+    sv = np.linalg.svd(m, compute_uv=False).reshape(-1, m.shape[-1])
+    rel = sv[:, -1] / np.where(sv[:, 0] == 0, np.inf, sv[:, 0])
+    if (rel <= rtol).any():
+        raise ValueError(f"flag vectors are not independent (relative smallest "
+                         f"singular value {rel.min():.3e})")
+
+
 def random_flag(n: int, rng: np.random.Generator) -> AffineFlag:
     """A Gaussian random flag (independent with probability one)."""
     for _ in range(50):
@@ -90,25 +96,54 @@ def random_flag(n: int, rng: np.random.Generator) -> AffineFlag:
     raise RuntimeError("could not draw an independent flag basis")
 
 
+_CELLS = 1 << 10  # (row, index tuple) cells per batched SVD call, to bound memory
+
+
+def _row_chunks(rows: np.ndarray, width: int):
+    """``rows`` in pieces of at most _CELLS cells of ``width`` each."""
+    step = max(1, _CELLS // width)
+    return (rows[s:s + step] for s in range(0, len(rows), step))
+
+
+@lru_cache(maxsize=None)
+def _full_sums(n: int, k: int) -> np.ndarray:
+    """Per J in {0..n}^k with |J| = n, the k*n stacked basis columns that
+    span F_0^{j_0} + ... + F_{k-1}^{j_{k-1}}."""
+    table = np.array([[i * n + t for i, j in enumerate(J) for t in range(j)]
+                      for J in product(range(n + 1), repeat=k) if sum(J) == n])
+    table.setflags(write=False)
+    return table
+
+
+def _general_rows(ortho: np.ndarray, rtol: float = _RANK_CUT) -> np.ndarray:
+    """Which of B rows of k flags, by their (B, k, n, n) orthonormal bases,
+    are in general position.
+
+    Only the n x n blocks of the sums with |J| = n are tested: a sum with
+    |J| < n is a subset of the columns of one, and dropping columns cannot
+    lower the ratio of the smallest to the largest singular value.  Columns
+    of unit length bound the largest by sqrt(n), so |det| / n^(n/2) bounds
+    the ratio from below; a block clearing the cut by a factor 2 that way
+    needs no SVD.
+    """
+    b, k, n, _ = ortho.shape
+    # The basis columns as rows, gathered into (B, C, n, n) blocks.
+    blocks = ortho.swapaxes(2, 3).reshape(b, k * n, n)[:, _full_sums(n, k)]
+    ok = np.abs(np.linalg.det(blocks)) > 2 * rtol * n ** (n / 2)
+    if not ok.all():
+        sv = np.linalg.svd(blocks[~ok], compute_uv=False)
+        ok[~ok] = sv[:, -1] > rtol * sv[:, 0]
+    return ok.all(axis=1)
+
+
 def general_position(flags: Sequence[AffineFlag], *, rtol: float = _RANK_CUT) -> bool:
     """Whether every sum of flag subspaces has the maximal dimension.
 
     True iff dim(F_0^{j_0} + ... + F_{k-1}^{j_{k-1}}) = j_0 + ... + j_{k-1}
-    for all index tuples with sum <= n, by numerical rank.
+    for all index tuples with sum <= n, by numerical rank.  Flags of
+    different dimensions raise ``ValueError``.
     """
-    flags = list(flags)
-    n = flags[0].n
-    if any(f.n != n for f in flags):
-        raise ValueError("flags must share the same dimension")
-    for J in product(range(n + 1), repeat=len(flags)):
-        s = sum(J)
-        if s == 0 or s > n:
-            continue
-        stack = np.concatenate([f.prefix(j) for f, j in zip(flags, J)], axis=1)
-        sv = np.linalg.svd(stack, compute_uv=False)
-        if sv[-1] <= rtol * sv[0]:
-            return False
-    return True
+    return bool(_general_rows(np.stack([f.ortho for f in flags])[None], rtol)[0])
 
 
 def random_flag_tuple(n: int, k: int, rng: np.random.Generator, *,
@@ -149,45 +184,49 @@ class Sigma3Class:
 
 
 def _sigma3(ortho: np.ndarray, vecs: np.ndarray, J: np.ndarray):
-    """The sigma_3 classes of K (flag 4-tuple, index tuple) pairs in one batch.
+    """The sigma_3 classes of B rows of four flags at C index tuples.
 
     ``ortho`` and ``vecs`` stack the four flags' orthonormal bases and chain
-    vectors as (K, 4, n, n) blocks (a leading 1 broadcasts); ``J`` is (K, 4).
-    The denominator F_0^{j_0} + ... is the four bases side by side with the
-    columns past j_i zeroed (columns that no class of the batch keeps are
-    left out), so one SVD batch covers every |J| and |J| = 0 is a block of
-    rank 0.  The quotient is realized on the orthogonal complement of the
-    denominator; the images are the chain vectors v_i^{j_i+1} projected
-    there, and they span the whole quotient because the numerator is the
-    denominator plus the span of those chain vectors.
+    vectors as (B, 4, n, n) blocks; ``J`` is a (C, 4) table.  The
+    denominator F_0^{j_0} + ... is spanned by the first j_i columns of each
+    basis, one SVD batch per |J| (none for |J| = 0).  The quotient is the
+    orthogonal complement of the denominator; the images are the chain
+    vectors v_i^{j_i+1} projected there, and they span it because the
+    numerator is the denominator plus their span.
 
-    Returns ``(m, images, scale, plane, vols)``, each with leading axis K:
-    the quotient dimension; the image coordinates, (min(n, 4), 4) blocks whose
-    first m rows are those in an orthonormal basis of the quotient; the
-    magnitude of the chain vectors, the reference for deciding which image
-    components are numerically zero; whether the quotient is a plane with no
-    vanishing image; and the ideal volume of those planes (0 elsewhere).
+    Returns ``(m, images, scale, plane, vols)``, each with leading axes
+    (B, C): the quotient dimension; the image coordinates, (min(n, 4), 4)
+    blocks whose first m rows are those in an orthonormal basis of the
+    quotient; the magnitude of the chain vectors, the reference for deciding
+    which image components are numerically zero; whether the quotient is a
+    plane with no vanishing image; and the ideal volume of those planes.
     """
-    k = len(J)
-    keep = np.arange(ortho.shape[-1]) < J[:, :, None]                # (K, 4, n)
-    used = keep.any(axis=0)
-    den = np.moveaxis(ortho, 1, 2)[:, :, used] * keep[:, None, used]  # (K, n, columns)
-    raw = np.take_along_axis(vecs, J[:, :, None, None], axis=3)[..., 0].swapaxes(1, 2)
-    scale = np.linalg.norm(raw, axis=(1, 2))
-    u, sv, _ = np.linalg.svd(den, full_matrices=False)
-    span = u * (sv > _RANK_CUT * np.maximum(sv[:, :1], 1e-300))[:, None, :]
-    proj = raw - span @ (span.conj().swapaxes(1, 2) @ raw)
+    b, _, n, _ = ortho.shape
+    size = J.sum(axis=1)
+    # Each class's kept basis columns, in order, among the 4n of the row.
+    keep = (np.arange(n) < J[:, :, None]).reshape(len(J), 4 * n)
+    kept = np.argsort(~keep, axis=1, kind="stable")
+    basis = ortho.swapaxes(2, 3).reshape(b, 4 * n, n)
+    raw = vecs.swapaxes(2, 3).reshape(b, 4 * n, n)[:, np.arange(4) * n + J].swapaxes(2, 3)
+    scale = np.linalg.norm(raw, axis=(2, 3))
+    proj = raw.copy()
+    for width in set(size[size > 0].tolist()):
+        group = size == width
+        den = basis[:, kept[group, :width]].swapaxes(2, 3)               # (B, C_w, n, |J|)
+        u, sv, _ = np.linalg.svd(den, full_matrices=False)
+        span = u * (sv > _RANK_CUT * sv[..., :1])[..., None, :]
+        proj[:, group] -= span @ (span.conj().swapaxes(2, 3) @ raw[:, group])
     uw, sw, _ = np.linalg.svd(proj, full_matrices=False)
     # Rank relative to the chain vectors' own magnitude: when the projection
     # annihilates them (numerator = denominator) the residue is rounding noise
     # and must count as rank zero, not as a full-rank spray of noise.
-    m = np.count_nonzero(sw > _RANK_CUT * scale[:, None], axis=1)
-    images = uw.conj().swapaxes(1, 2) @ proj
-    norms = np.linalg.norm(images[:, :2], axis=1)                    # (K, 4)
-    plane = (m == 2) & (norms.min(axis=1) > _RANK_CUT * np.maximum(scale, 1e-300))
-    vols = np.zeros(k)
+    m = np.count_nonzero(sw > _RANK_CUT * scale[..., None], axis=2)
+    images = uw.conj().swapaxes(2, 3) @ proj
+    norms = np.linalg.norm(images[:, :, :2], axis=2)                    # (B, C, 4)
+    plane = (m == 2) & (norms.min(axis=2) > _RANK_CUT * np.maximum(scale, 1e-300))
+    vols = np.zeros(plane.shape)
     if plane.any():
-        vols[plane] = vol_p1_batch(images[plane, :2].swapaxes(1, 2))  # points as rows
+        vols[plane] = vol_p1_batch(images[plane][:, :2].swapaxes(1, 2))  # points as rows
     return m, images, scale, plane, vols
 
 
@@ -199,31 +238,50 @@ def _all_j(n: int) -> np.ndarray:
     return js
 
 
-def _four(flags: Sequence[AffineFlag], caller: str) -> list[AffineFlag]:
+def _b_rows(ortho: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B_n of B rows of four flags, from (B, 4, n, n) stacks of orthonormal
+    bases and chain vectors, and which rows are in general position.
+
+    Only the classes with |J| = n-2 contribute in general position.  Off it
+    others do, and only the sum of all n^4 stays a cocycle.
+    """
+    n = ortho.shape[-1]
+    general = np.empty(len(ortho), dtype=bool)
+    for rows in _row_chunks(np.arange(len(ortho)), len(_full_sums(n, 4))):
+        general[rows] = _general_rows(ortho[rows])
+    total = np.zeros(len(ortho))
+    every = _all_j(n)
+    for rows_of, js in ((general, every[every.sum(axis=1) == n - 2]), (~general, every)):
+        for rows in _row_chunks(np.flatnonzero(rows_of), len(js)):
+            total[rows] = _sigma3(ortho[rows], vecs[rows], js)[4].sum(axis=1)
+    return total, general
+
+
+def _b_chains(vecs: np.ndarray) -> np.ndarray:
+    """B_n of rows of four flags by their (B, 4, n, n) chain matrices."""
+    _check_independent(vecs)
+    return _b_rows(np.linalg.qr(vecs)[0], vecs)[0]
+
+
+def _row(flags: Sequence[AffineFlag], caller: str, k: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """k flags as one row: (1, k, n, n) stacks of orthonormal bases and chain vectors."""
     flags = list(flags)
-    if len(flags) != 4:
-        raise ValueError(f"{caller} takes exactly four flags")
-    return flags
-
-
-def _classes(flags: list[AffineFlag], J):
-    """The sigma_3 kernel on one 4-tuple of flags at the index tuples J."""
-    ortho = np.stack([f.ortho for f in flags])[None]
-    vecs = np.stack([f.vecs for f in flags])[None]
-    return _sigma3(ortho, vecs, np.asarray(J).reshape(-1, 4))
+    if len(flags) != k:
+        raise ValueError(f"{caller} takes exactly {k} flags")
+    return np.stack([f.ortho for f in flags])[None], np.stack([f.vecs for f in flags])[None]
 
 
 def t_j(flags: Sequence[AffineFlag], J: Sequence[int]) -> Sigma3Class:
     """The sigma_3 class of four flags at the index tuple J in {0..n-1}^4:
     the quotient (F_0^{j_0+1} + ...) / (F_0^{j_0} + ...) with the images of
     the chain vectors v_i^{j_i+1} in it."""
-    flags = _four(flags, "t_j")
-    n = flags[0].n
+    ortho, vecs = _row(flags, "t_j")
+    n = ortho.shape[-1]
     J = tuple(int(j) for j in J)
     if len(J) != 4 or any(j < 0 or j >= n for j in J):
         raise ValueError(f"index tuple must lie in {{0..{n - 1}}}^4, got {J}")
-    m, images, scale, _, _ = _classes(flags, J)
-    return Sigma3Class(m=int(m[0]), images=images[0, :m[0]], scale=float(scale[0]))
+    m, images, scale, _, _ = (x[0, 0] for x in _sigma3(ortho, vecs, np.array([J])))
+    return Sigma3Class(m=int(m), images=images[:m], scale=float(scale))
 
 
 def vol_sigma3(c: Sigma3Class) -> float:
@@ -231,8 +289,7 @@ def vol_sigma3(c: Sigma3Class) -> float:
     the quotient is a plane and no image vanishes, else 0."""
     if c.m != 2 or not c.nonzero_images():
         return 0.0
-    w = c.images
-    return vol_p1(w[:, 0], w[:, 1], w[:, 2], w[:, 3])
+    return vol_p1(*c.images.T)
 
 
 def b_n_j(flags: Sequence[AffineFlag], J: Sequence[int]) -> float:
@@ -244,36 +301,29 @@ def b_n(flags: Sequence[AffineFlag]) -> float:
     """The volume cocycle: sum of vol_sigma3 over all J in {0..n-1}^4.
 
     Alternating and GL_n(C)-invariant; for flags in general position only the
-    index tuples with |J| = n-2 contribute.
+    index tuples with |J| = n-2 contribute, and only those are evaluated.
     """
-    flags = _four(flags, "b_n")
-    return float(_classes(flags, _all_j(flags[0].n))[4].sum())
+    return float(_b_rows(*_row(flags, "b_n"))[0][0])
 
 
 def contributing_j(flags: Sequence[AffineFlag]) -> list[tuple[int, ...]]:
     """Index tuples whose sigma_3 class is structurally nontrivial (quotient
     a plane, all images nonzero) — exactly n(n^2-1)/6 in general position."""
-    flags = _four(flags, "contributing_j")
-    js = _all_j(flags[0].n)
-    plane = _classes(flags, js)[3]
+    ortho, vecs = _row(flags, "contributing_j")
+    js = _all_j(ortho.shape[-1])
+    plane = _sigma3(ortho, vecs, js)[3][0]
     return [tuple(int(j) for j in J) for J in js[plane]]
 
 
 def cocycle_residual(flags: Sequence[AffineFlag]) -> float:
     """The alternating face sum of B_n over a 5-tuple of flags (vanishes on
     general-position tuples: B_n is a strict cocycle)."""
-    flags = list(flags)
-    if len(flags) != 5:
-        raise ValueError("cocycle_residual takes exactly five flags")
-    for i in range(5):
-        face = [f for j, f in enumerate(flags) if j != i]
-        if not general_position(face):
-            raise ValueError(f"face {i} is not in general position")
-    total = 0.0
-    for i in range(5):
-        face = [f for j, f in enumerate(flags) if j != i]
-        total += (-1.0) ** i * b_n(face)
-    return total
+    ortho, vecs = _row(flags, "cocycle_residual", 5)
+    faces = [[j for j in range(5) if j != i] for i in range(5)]
+    values, general = _b_rows(ortho[0, faces], vecs[0, faces])
+    if not general.all():
+        raise ValueError(f"face {int(np.argmin(general))} is not in general position")
+    return float(np.sum(values * (-1.0) ** np.arange(5)))
 
 
 # ----------------------------------------------------------------------
@@ -330,13 +380,8 @@ def boundary_lines(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def infinity_lines() -> tuple[np.ndarray, np.ndarray]:
     """The ruling planes at infinity: l+ = <f1, f2>, l- = <e2, f1>."""
-    lplus = np.zeros((4, 2), dtype=complex)
-    lplus[2, 0] = 1  # f1
-    lplus[3, 1] = 1  # f2
-    lminus = np.zeros((4, 2), dtype=complex)
-    lminus[0, 0] = 1  # e2
-    lminus[2, 1] = 1  # f1
-    return lplus, lminus
+    eye = np.eye(4, dtype=complex)  # columns e2, e1, f1, f2
+    return eye[:, [2, 3]], eye[:, [0, 2]]
 
 
 def _flag_chains(v1: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -435,21 +480,9 @@ def flip_to_special(g: GroupElement, *, tol: float = 1e-6) -> GroupElement:
 # The restricted cocycle and its batched evaluator
 # ----------------------------------------------------------------------
 
-_REF_AB = (0.3172 + 0.4418j, -0.6131 + 0.2212j)
-
-
 @lru_cache(maxsize=1)
 def _so4_fixed() -> tuple[AffineFlag, AffineFlag, AffineFlag]:
     return flag_infinity(), standard_flags_so4(0, 0), standard_flags_so4(1, 1)
-
-
-@lru_cache(maxsize=1)
-def _so4_contributing() -> tuple[tuple[int, ...], ...]:
-    """The index tuples contributing to the restricted cocycle, computed once
-    on a reference generic boundary point."""
-    f_inf, f0, f1 = _so4_fixed()
-    flags = [f_inf, f0, f1, standard_flags_so4(*_REF_AB)]
-    return tuple(contributing_j(flags))
 
 
 def b4_so4(a: complex, b: complex) -> float:
@@ -462,24 +495,15 @@ def b4_so4_batch(a, b) -> np.ndarray:
     """Vectorized b4_so4 over arrays of boundary parameters.
 
     Builds the varying flags with the same chain function as the scalar path
-    and runs the sigma_3 kernel over the contributing index tuples only, one
-    tuple at a time over all rows; degenerate rows give 0 exactly as in the
-    scalar path.
+    and evaluates all rows with the row-batched B_n, so a row off general
+    position (a or b in {0, 1}, for example) sums every class, as the scalar
+    path does.
     """
     a, b = _params(a, b)
-    shape = a.shape
-    a, b = a.ravel(), b.ravel()
-    nb = a.size
-    lplus, lminus = boundary_lines(a, b)
+    shape, a, b = a.shape, a.ravel(), b.ravel()
     phi = np.stack([b, np.ones_like(a), a * b, -a], axis=1)  # BoundaryPoint.vector, batched
-    chain = _flag_chains(phi, lplus, lminus)
-    q_var, _ = np.linalg.qr(chain)
-    fixed = _so4_fixed()
-    ortho = np.concatenate([np.broadcast_to(np.stack([f.ortho for f in fixed]), (nb, 3, 4, 4)),
-                            q_var[:, None]], axis=1)
-    vecs = np.concatenate([np.broadcast_to(np.stack([f.vecs for f in fixed]), (nb, 3, 4, 4)),
-                           chain[:, None]], axis=1)
-    total = np.zeros(nb)
-    for J in _so4_contributing():
-        total += _sigma3(ortho, vecs, np.broadcast_to(J, (nb, 4)))[4]
-    return total.reshape(shape)
+    chain = _flag_chains(phi, *boundary_lines(a, b))
+    fixed = [np.broadcast_to(x, (a.size, 3, 4, 4)) for x in _row(_so4_fixed(), "b4_so4_batch", 3)]
+    ortho = np.concatenate([fixed[0], np.linalg.qr(chain)[0][:, None]], axis=1)
+    vecs = np.concatenate([fixed[1], chain[:, None]], axis=1)
+    return _b_rows(ortho, vecs)[0].reshape(shape)

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._seeding import normal_complex_batch, uniform_batch
 from .dilog import v_max, vol_p1_batch
-from .flags import AffineFlag, b4_so4_batch, b_n
+from .flags import _b_chains, b4_so4_batch
 
 __all__ = [
     "FAMILIES",
@@ -298,11 +298,7 @@ def _make_bn(n: int):
         return normal_complex_batch(seed, f"sup.b-{n}", start, count, dim)
 
     def evaluate(params: np.ndarray) -> np.ndarray:
-        out = np.empty(params.shape[0])
-        for i, row in enumerate(params):
-            flags = [AffineFlag.create(m) for m in row.reshape(4, n, n)]
-            out[i] = b_n(flags)
-        return out
+        return _b_chains(np.asarray(params, dtype=complex).reshape(-1, 4, n, n))
 
     return dim, sample, evaluate
 

@@ -9,6 +9,7 @@ signature ``(eps, d, r, trials, seed, tol) -> list[CheckRecord]`` where
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -306,8 +307,10 @@ def suite_constants(eps, d, r, trials, seed, tol) -> list[CheckRecord]:
                 for n in range(2, 9))
     out.append(_record("constants.gromov-bn", 7, worst, tol, 1e-12))
 
+    # Exact: a float subtraction rounds the reference to v's double and reads 0.
     out.append(_record("constants.tetrahedron-volume", 1,
-                       abs(v_max() - 1.014941606409653625021202554275), tol, 1e-12))
+                       abs(Fraction(v_max()) - Fraction("1.014941606409653625021202554275")),
+                       tol, 1e-12))
     return out
 
 

@@ -62,6 +62,57 @@ def test_flag_prefix_is_orthonormal_and_spans():
             assert np.linalg.norm(res) < 1e-10 * np.linalg.norm(v)
 
 
+def _perturbed(flag, eps, rng):
+    """A copy of ``flag`` moved by ``eps`` relative to its chain vectors."""
+    n = flag.n
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return AffineFlag.create(flag.vecs + eps * np.linalg.norm(flag.vecs) * noise)
+
+
+_PERTURBATIONS = (1e-7, 1e-8, 1e-9)
+
+
+def _special_tuples(n, k, rng):
+    """k-tuples of flags of four kinds: random; with a repeated flag; with two
+    flags sharing their first line; with a flag perturbed off a copy of
+    another by each of _PERTURBATIONS, around the rank cut."""
+    flags = list(random_flag_tuple(n, k, rng))
+    repeated = flags[:-1] + [flags[0]]
+    shared = flags[-1].vecs.copy()
+    shared[:, 0] = flags[0].vecs[:, 0]
+    out = [flags, repeated, flags[:-1] + [AffineFlag.create(shared)]]
+    out += [flags[:-1] + [_perturbed(flags[0], eps, rng)] for eps in _PERTURBATIONS]
+    return out
+
+
+def _reference_general_position(flags, rtol=1e-8):
+    """General position the exhaustive way: an SVD of every sum of flag
+    subspaces with 0 < |J| <= n."""
+    from itertools import product
+    n = flags[0].n
+    for J in product(range(n + 1), repeat=len(flags)):
+        if 0 < sum(J) <= n:
+            stack = np.concatenate([f.prefix(j) for f, j in zip(flags, J)], axis=1)
+            sv = np.linalg.svd(stack, compute_uv=False)
+            if sv[-1] <= rtol * sv[0]:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_general_position_matches_the_exhaustive_reference(n, k):
+    """The test of the sums with |J| = n alone gives the answer of testing
+    every sum with |J| <= n, on each kind of special tuple."""
+    rng = np.random.default_rng(80 + 10 * n + k)
+    answers = []
+    for flags in _special_tuples(n, k, rng):
+        want = _reference_general_position(flags)
+        assert general_position(flags) == want
+        answers.append(want)
+    assert answers[:3] == [True, False, False]
+
+
 def test_general_position_random_and_degenerate():
     rng = np.random.default_rng(1)
     flags = random_flag_tuple(3, 4, rng)
@@ -175,16 +226,21 @@ def _reference_class(flags, J):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_batched_classes_match_the_per_class_reference(n):
-    """b_n and contributing_j against a loop over all n^4 index tuples, on
-    generic tuples, tuples with a repeated flag and tuples sharing a line."""
+    """b_n, which sums only the classes with |J| = n-2 on tuples in general
+    position, against the full sum over all n^4 index tuples, and
+    contributing_j against a per-class loop, on the special tuples of the
+    general-position test."""
     from itertools import product
     rng = np.random.default_rng(70 + n)
-    f, g, h, k = random_flag_tuple(n, 4, rng)
-    shared = k.vecs.copy()
-    shared[:, 0] = f.vecs[:, 0]
-    for four in ([f, g, h, k], [f, g, f, h], [f, g, h, AffineFlag.create(shared)]):
+    for eps, four in zip((None,) * 3 + _PERTURBATIONS, _special_tuples(n, 4, rng)):
         classes = {J: _reference_class(four, J) for J in product(range(n), repeat=4)}
-        assert abs(b_n(four) - sum(map(vol_sigma3, classes.values()))) <= 1e-12
+        value = b_n(four)
+        assert abs(value - sum(b_n_j(four, J) for J in classes)) <= 1e-12
+        # Near the rank cut an image can be as short as eps times the chain
+        # vectors, so the rounding of two correct computations moves its
+        # volume by about 1e-16 / eps.
+        tol = 1e-12 if eps is None else 1e-14 / eps
+        assert abs(value - sum(map(vol_sigma3, classes.values()))) <= tol
         assert contributing_j(four) == [J for J, c in classes.items()
                                         if c.m == 2 and c.nonzero_images()]
         for J in [(0, 0, 0, 0), (n - 1,) * 4, (n - 2, 0, 0, 0)]:
@@ -224,6 +280,22 @@ def test_cocycle_residual_vanishes(n):
     for _ in range(3):
         flags = random_flag_tuple(n, 5, rng)
         assert abs(cocycle_residual(flags)) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_face_sum_vanishes_off_general_position(n):
+    """B_n stays a cocycle when one flag shares its first line with another,
+    so that some faces are off general position; summing only the classes
+    with |J| = n-2 there leaves face sums of order 1."""
+    rng = np.random.default_rng(90 + n)
+    for t in range(4):
+        five = list(random_flag_tuple(n, 5, rng))
+        shared = five[4].vecs.copy()
+        shared[:, 0] = five[t].vecs[:, 0]
+        five[4] = AffineFlag.create(shared)
+        faces = [five[:i] + five[i + 1:] for i in range(5)]
+        assert not all(general_position(face) for face in faces)
+        assert abs(sum((-1) ** i * b_n(face) for i, face in enumerate(faces))) <= 1e-10
 
 
 def test_b_n_bounded_by_volume_bound():
@@ -388,3 +460,13 @@ def test_b4_so4_batch_special_points():
     a = np.array([0.0, 1.0, 0.5, 17.0])
     b = np.array([0.0, 1.0, 0.5, -2.0])
     assert np.abs(b4_so4_batch(a, b)).max() < 1e-14
+    # Boundary points with a at or near 0 and 1 are not in general position
+    # with the fixed flags; the batch must sum every class there, as the
+    # scalar path does.
+    a = np.array([0.0, 1.0, 1e-10, 1.0 + 1e-10, 1e-9j])
+    b = np.full(a.shape, 0.3 + 0.2j)
+    batch = b4_so4_batch(a, b)
+    for i in range(len(a)):
+        want = 2.0 * (bloch_wigner(a[i]) + bloch_wigner(b[i]))
+        assert abs(batch[i] - want) <= 1e-8
+        assert abs(batch[i] - b4_so4(a[i], b[i])) <= 1e-8

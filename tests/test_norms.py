@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fslab.dilog import v_max
+from fslab.flags import AffineFlag, b_n
 from fslab.norms import (
     FAMILIES,
     STATUS_CONJECTURE,
@@ -233,6 +234,30 @@ def test_b_n_samples_stay_below_gromov_norm():
     prob = sup_problem("b-n", n=2)
     val, _ = prob.estimate(50)
     assert 0 < val < prob.target
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_b_n_problem_matches_a_per_row_loop(n):
+    """The row-batched evaluator of the b-n problem against b_n on each row."""
+    prob = sup_problem("b-n", n=n)
+    rows = prob.sampler(3, 0, 24)
+    want = [b_n([AffineFlag.create(m) for m in row.reshape(4, n, n)]) for row in rows]
+    assert np.abs(prob.cocycle(rows) - want).max() <= 1e-12
+
+
+def test_b_n_problem_rejects_dependent_flag_vectors():
+    prob = sup_problem("b-n", n=3)
+
+    def sampler(seed, start, count):
+        rows = prob.sampler(seed, start, count)
+        rows[count // 2, 9:18] = 1.0  # the second flag of one row has rank 1
+        return rows
+
+    with pytest.raises(ValueError, match="not independent"):
+        prob.cocycle(sampler(0, 0, 8))
+    with pytest.raises(RuntimeError, match="cocycle failed") as info:
+        estimate_sup(prob.cocycle, sampler, 8, refine=False)
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_operator_norm_res2():
