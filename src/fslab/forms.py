@@ -324,26 +324,6 @@ def _omega_complement(space: FormedSpace, assigned: list[np.ndarray]) -> np.ndar
     return nullspace(a.T @ space.J)
 
 
-def _project_onto(space: FormedSpace, basis: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """omega-projection of v onto the (nondegenerate) span of basis columns."""
-    g = basis.T @ space.J @ basis
-    rhs = basis.T @ (space.J @ v)
-    return basis @ np.linalg.solve(g, rhs)
-
-
-def _candidates(space: FormedSpace, w_basis: np.ndarray) -> list[np.ndarray]:
-    """Projections of the standard basis vectors onto W, in basis order,
-    dropping those that are numerically zero."""
-    out = []
-    for j in range(space.n):
-        std = np.zeros(space.n, dtype=complex)
-        std[j] = 1
-        c = _project_onto(space, w_basis, std)
-        if np.linalg.norm(c) > 1e-8:
-            out.append(c)
-    return out
-
-
 def _stable_quadratic_root(qu: complex, w: complex, qv: complex) -> complex | None:
     """Smallest-magnitude root of qu + 2 t w + t^2 qv = 0, or None."""
     if abs(qv) < 1e-14:
@@ -393,23 +373,51 @@ def _fix_unit_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _pair_from(space: FormedSpace, cand: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministically extract an adapted hyperbolic pair from candidates."""
+def _balanced(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rescale a pair to (alpha u, w / alpha), alpha = sqrt(|w| / |u|), so both
+    get the same norm: unbalanced pairs grow entries that make the relative
+    rank cut of the next omega-complement miscount its dimension."""
+    alpha = np.sqrt(np.linalg.norm(w) / np.linalg.norm(u))
+    return alpha * u, w / alpha
+
+
+def _pair_from(space: FormedSpace, w_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministically extract an adapted, norm-balanced hyperbolic pair
+    from the nondegenerate span W of the columns B of w_basis.  Candidates are
+    the nonzero columns of the omega-projector ``B (B^T J B)^{-1} B^T J`` onto
+    W (the projected standard basis vectors, in order), all from one solve."""
+    bt_j = w_basis.T @ space.J
+    proj = w_basis @ np.linalg.solve(bt_j @ w_basis, bt_j)
+    cand = proj[:, np.linalg.norm(proj, axis=0) > 1e-8]
+    m = cand.shape[1]
     u = None
-    for k, c in enumerate(cand):
-        u = _make_isotropic(space, c, cand[k + 1:] + cand[:k])
+    for k in range(m):
+        u = _make_isotropic(space, cand[:, k], (cand[:, (k + i) % m] for i in range(1, m)))
         if u is not None:
             break
     if u is None:
         raise RuntimeError("could not locate an isotropic vector in the complement")
-    pairings = np.array([abs(space.omega(u, c)) for c in cand])
-    j = int(np.argmax(pairings))
-    if pairings[j] <= 1e-10 * np.linalg.norm(u):
+    pairings = u @ space.J @ cand
+    j = int(np.argmax(np.abs(pairings)))
+    if abs(pairings[j]) <= 1e-10 * np.linalg.norm(u):
         raise RuntimeError("no partner pairs with the isotropic vector (degenerate complement)")
-    w = cand[j] / space.omega(u, cand[j])
+    w = cand[:, j] / pairings[j]
     if space.eps == +1:
         w = w - (space.q(w) / 2) * u
-    return u, w
+    return _balanced(u, w)
+
+
+def _unit_slot(space: FormedSpace, assigned: list[np.ndarray]) -> np.ndarray:
+    """The vector h' with q(h') = 1 spanning the omega-complement of the
+    completed pairs (d = 1), up to sign."""
+    w_basis = _omega_complement(space, assigned)
+    if w_basis.shape[1] != 1:
+        raise RuntimeError("inconsistent complement dimension for the unit slot")
+    hvec = w_basis[:, 0]
+    qh = space.q(hvec)
+    if abs(qh) < 1e-12:
+        raise RuntimeError("degenerate unit slot in Witt completion")
+    return hvec / principal_sqrt(qh)
 
 
 def witt_complete(space: FormedSpace, pairs: Sequence[tuple[np.ndarray, np.ndarray]] = (), *,
@@ -456,21 +464,14 @@ def witt_complete(space: FormedSpace, pairs: Sequence[tuple[np.ndarray, np.ndarr
 
     for _ in range(space.r - k):
         w_basis = _omega_complement(space, assigned)
-        u, w = _pair_from(space, _candidates(space, w_basis))
+        u, w = _pair_from(space, w_basis)
         e_cols.append(u)
         f_cols.append(w)
         assigned.extend([u, w])
 
     cols = list(e_cols)
     if space.d == 1:
-        w_basis = _omega_complement(space, assigned)
-        if w_basis.shape[1] != 1:
-            raise RuntimeError("inconsistent complement dimension for the unit slot")
-        hvec = w_basis[:, 0]
-        qh = space.q(hvec)
-        if abs(qh) < 1e-12:
-            raise RuntimeError("degenerate unit slot in Witt completion")
-        cols.append(_fix_unit_sign(hvec / principal_sqrt(qh)))
+        cols.append(_fix_unit_sign(_unit_slot(space, assigned)))
     cols.extend(reversed(f_cols))
 
     t = np.column_stack(cols)
@@ -544,17 +545,13 @@ def random_group_element(space: FormedSpace, rng: np.random.Generator) -> GroupE
             raise RuntimeError("random partner search failed")
         if space.eps == +1:
             w = w - (space.q(w) / 2) * u
-        # Balance norms within the pair so later complements stay well scaled.
-        alpha = np.sqrt(np.linalg.norm(w) / np.linalg.norm(u))
-        u, w = alpha * u, w / alpha
+        u, w = _balanced(u, w)
         e_cols.append(u)
         f_cols.append(w)
         assigned.extend([u, w])
     cols = list(e_cols)
     if space.d == 1:
-        w_basis = _omega_complement(space, assigned)
-        hvec = w_basis[:, 0]
-        hvec = hvec / principal_sqrt(space.q(hvec))
+        hvec = _unit_slot(space, assigned)
         if rng.random() < 0.5:
             hvec = -hvec
         cols.append(hvec)

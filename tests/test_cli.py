@@ -84,6 +84,19 @@ def test_verify_deterministic_modulo_wall_time(capsys):
     assert "wall_time_s" in json.loads(out1)
 
 
+def test_verify_reductions_at_rank_six_has_no_numerical_failure(capsys):
+    # Two of these trials once failed in Witt completion (reductions.numerical = 2).
+    code, out, _ = run_cli(
+        ["verify", "--suite", "reductions", "--eps", "1", "--d", "1",
+         "--r", "6", "--trials", "100"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    numerical = [c for c in data["checks"] if c["name"] == "reductions.numerical"]
+    assert len(numerical) == 1
+    assert numerical[0]["max_residual"] == 0
+    assert numerical[0]["passed"] is True
+
+
 def test_verify_rejects_inadmissible_signature(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "hats", "--eps", "-1", "--d", "1"])
@@ -193,9 +206,14 @@ def test_reduce_degenerate_rejection(tmp_path, capsys):
     assert "FIRST FAILURE" in err
 
 
-def test_reduce_numerical_failure_is_reported(tmp_path, capsys):
-    # A cr-generic quadruple on which Witt completion fails numerically: the
-    # failure is a report with the check reduce.numerical, not a traceback.
+def test_reduce_numerical_failure_is_reported(tmp_path, capsys, monkeypatch):
+    # A cr-generic quadruple on which Witt completion is made to fail
+    # numerically: the failure is a report with the check reduce.numerical,
+    # not a traceback.  No known input makes it fail by itself any more.
+    def failing_completion(*args, **kwargs):
+        raise ValueError("pairs are not adapted")
+
+    monkeypatch.setattr("fslab.reduction.witt_complete", failing_completion)
     space = make_space(1, 1, 6)
     t = random_generic_tuple(space, 5, rng_for(0, "x", 52))
     payload = {

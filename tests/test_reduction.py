@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from fslab._seeding import rng_for
 from fslab.forms import (
     ADMISSIBLE,
+    TOL_REDUCE,
     GroupElement,
     chordal_distance,
     make_space,
@@ -12,6 +14,7 @@ from fslab.forms import (
     random_isotropic,
 )
 from fslab.crossratios import (
+    ConfigTuple,
     GenericityError,
     pi3,
     pi4,
@@ -390,3 +393,58 @@ def test_so4_rank2_relation_vacuous_for_symplectic():
 def test_so4_rank2_relation_needs_quintuple():
     with pytest.raises(ValueError):
         so4_rank2_relation(make_tuple(1, 0, 2, 4, 0))
+
+
+# ----------------------------------------------------------------------
+# Witt completion at high rank
+# ----------------------------------------------------------------------
+
+REDUCERS = {4: reduce_quadruple, 5: reduce_quintuple}
+
+
+def rebuilt_gram(eps, d, r):
+    """J from its definition, independently of make_space: omega(e_i, f_i) = 1,
+    omega(f_i, e_i) = eps and q(h) = 1, in the order (e_r..e_1, [h,] f_1..f_r)."""
+    n = 2 * r + d
+    J = np.zeros((n, n), dtype=complex)
+    for i in range(1, r + 1):
+        J[r - i, r + d + i - 1] = 1
+        J[r + d + i - 1, r - i] = eps
+    if d == 1:
+        J[r, r] = 1
+    return J
+
+
+# (eps, d, r, index, k): the first k points of the quintuple drawn with
+# rng_for(0, "x", index).  Witt completion failed on each while its completed
+# pairs were not norm-balanced (entries grew to about 1e8 and the rank cut of
+# the omega-complement miscounted).
+WITT_REPRODUCERS = [(1, 1, 6, 52, 4), (1, 0, 16, 48, 5), (1, 0, 16, 65, 4)]
+
+
+@pytest.mark.parametrize("eps,d,r,index,k", WITT_REPRODUCERS)
+def test_witt_completion_reproducers_reduce(eps, d, r, index, k):
+    space = make_space(eps, d, r)
+    t = random_generic_tuple(space, 5, rng_for(0, "x", index))
+    res = REDUCERS[k](ConfigTuple.from_vectors(space, [t.vector(i) for i in range(k)]))
+    assert res.residual <= TOL_REDUCE
+    J = rebuilt_gram(eps, d, r)
+    assert np.abs(res.g.m.T @ J @ res.g.m - J).max() <= 1e-9
+
+
+def test_orthogonal_reductions_at_ranks_8_to_16_all_succeed():
+    # Five cr-generic 4- and 5-tuples per orthogonal signature and rank; five
+    # of these 180 reductions failed in Witt completion before the balancing.
+    cells = [(eps, d, r, k) for eps, d in ((1, 1), (1, 0)) for r in range(8, 17)
+             for k in (4, 5) for _ in range(5)]
+    failures = []
+    for index, (eps, d, r, k) in enumerate(cells):
+        t = random_generic_tuple(make_space(eps, d, r), k, rng_for(7, "w", index))
+        try:
+            res = REDUCERS[k](t)
+        except RuntimeError as exc:
+            failures.append((eps, d, r, k, index, str(exc)))
+        else:
+            if res.residual > TOL_REDUCE:
+                failures.append((eps, d, r, k, index, res.residual))
+    assert failures == []
