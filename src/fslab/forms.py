@@ -39,7 +39,6 @@ __all__ = [
     "make_space",
     "principal_sqrt",
     "nullspace",
-    "column_span_rank",
     "normalize_projective",
     "chordal_distance",
     "omega",
@@ -84,15 +83,6 @@ def nullspace(mat: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     else:
         rank = 0
     return vh[rank:].conj().T
-
-
-def column_span_rank(mat: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """Numerical rank of the column span (relative singular value cut)."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.size == 0:
-        return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(s > rtol * s[0])) if s[0] > 0 else 0
 
 
 def normalize_projective(v: np.ndarray) -> np.ndarray:
@@ -383,12 +373,14 @@ def _balanced(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_from(space: FormedSpace, w_basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministically extract an adapted, norm-balanced hyperbolic pair
-    from the nondegenerate span W of the columns B of w_basis.  Candidates are
-    the nonzero columns of the omega-projector ``B (B^T J B)^{-1} B^T J`` onto
-    W (the projected standard basis vectors, in order), all from one solve."""
-    bt_j = w_basis.T @ space.J
-    proj = w_basis @ np.linalg.solve(bt_j @ w_basis, bt_j)
-    cand = proj[:, np.linalg.norm(proj, axis=0) > 1e-8]
+    from the span W of the orthonormal columns B of w_basis.  Candidates are
+    the nonzero columns of the Hermitian projector ``B B^H``, nearest to W
+    first (stable order of decreasing norm; index order was less accurate at
+    high rank).  They depend on W only: for a coordinate W, standard vectors."""
+    proj = w_basis @ w_basis.conj().T
+    norms = np.linalg.norm(proj, axis=0)
+    order = np.argsort(-norms, kind="stable")
+    cand = proj[:, order[norms[order] > 1e-8]]
     m = cand.shape[1]
     u = None
     for k in range(m):
@@ -427,9 +419,12 @@ def witt_complete(space: FormedSpace, pairs: Sequence[tuple[np.ndarray, np.ndarr
     ``pairs[k]`` supplies the vectors for the slots ``(e_{r-k}, f_{r-k})``,
     outermost first.  The result is the matrix whose columns are the completed
     basis in standard order, so ``witt_complete(space)`` is the identity and
-    the returned T always satisfies ``T^T J T = J`` to rounding.
+    the returned T always satisfies ``T^T J T = J`` to rounding.  One SVD gives
+    an orthonormal basis B of the omega-complement of the given pairs; each
+    completed pair (u, w) deflates it to ``B nullspace([u w]^T J B)``.
 
-    Raises ValueError when the supplied pairs fail the adapted Gram relations.
+    Raises ValueError when the supplied pairs fail the adapted Gram relations,
+    and RuntimeError when a numerical step or the final Gram check fails.
     """
     k = len(pairs)
     if k > space.r:
@@ -462,12 +457,16 @@ def witt_complete(space: FormedSpace, pairs: Sequence[tuple[np.ndarray, np.ndarr
     f_cols: list[np.ndarray] = [w for _, w in given]
     assigned = [v for uw in given for v in uw]
 
+    w_basis = _omega_complement(space, assigned)
     for _ in range(space.r - k):
-        w_basis = _omega_complement(space, assigned)
         u, w = _pair_from(space, w_basis)
         e_cols.append(u)
         f_cols.append(w)
         assigned.extend([u, w])
+        null = nullspace(np.column_stack([u, w]).T @ space.J @ w_basis)
+        if null.shape[1] != w_basis.shape[1] - 2:
+            raise RuntimeError("deflating the complement by a completed pair did not remove two dimensions")
+        w_basis = w_basis @ null
 
     cols = list(e_cols)
     if space.d == 1:

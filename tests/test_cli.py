@@ -84,17 +84,30 @@ def test_verify_deterministic_modulo_wall_time(capsys):
     assert "wall_time_s" in json.loads(out1)
 
 
-def test_verify_reductions_at_rank_six_has_no_numerical_failure(capsys):
-    # Two of these trials once failed in Witt completion (reductions.numerical = 2).
-    code, out, _ = run_cli(
-        ["verify", "--suite", "reductions", "--eps", "1", "--d", "1",
-         "--r", "6", "--trials", "100"], capsys)
+def assert_reductions_pass_without_numerical_failure(params, capsys):
+    code, out, _ = run_cli(["verify", "--suite", "reductions", *params], capsys)
     assert code == 0
     data = json.loads(out)
     numerical = [c for c in data["checks"] if c["name"] == "reductions.numerical"]
     assert len(numerical) == 1
     assert numerical[0]["max_residual"] == 0
     assert numerical[0]["passed"] is True
+
+
+def test_verify_reductions_at_rank_six_has_no_numerical_failure(capsys):
+    # Two of these trials once failed in Witt completion (reductions.numerical = 2).
+    assert_reductions_pass_without_numerical_failure(
+        ["--eps", "1", "--d", "1", "--r", "6", "--trials", "100"], capsys)
+
+
+@pytest.mark.parametrize("params", [
+    ["--eps", "1", "--d", "0", "--r", "16", "--trials", "20"],
+    ["--eps", "1", "--d", "1", "--r", "12", "--trials", "30"],
+], ids=["eps1-d0-r16", "eps1-d1-r12"])
+def test_verify_reductions_at_high_rank_has_no_numerical_failure(params, capsys):
+    # Each Witt completion here fills 10 to 15 slots from one complement
+    # basis, deflated by every completed pair in turn.
+    assert_reductions_pass_without_numerical_failure(params, capsys)
 
 
 def test_verify_rejects_inadmissible_signature(capsys):

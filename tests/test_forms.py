@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fslab import forms
 from fslab.forms import (
     ADMISSIBLE,
     TOL_GROUP,
@@ -237,11 +238,13 @@ def test_complement_hat_is_orthogonal_to_plane():
 
 
 @pytest.mark.parametrize("eps,d", CASES)
-@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", range(1, 13))
 def test_witt_complete_from_scratch(eps, d, r):
     space = make_space(eps, d, r)
     basis = witt_complete(space)
     assert np.linalg.norm(space.gram(basis.T) - space.J) < 1e-9
+    # With no pairs given, the completion is the standard basis itself.
+    assert np.array_equal(basis, np.eye(space.n))
 
 
 @pytest.mark.parametrize("eps,d", CASES)
@@ -261,6 +264,14 @@ def test_witt_complete_extends_given_pair(eps, d):
         # the prescribed pair occupies the outermost slots
         assert np.linalg.norm(basis[:, space.e_index(space.r)] - v0) < 1e-9
         assert np.linalg.norm(basis[:, space.f_index(space.r)] - partner) < 1e-9
+
+
+def test_witt_complete_reports_a_failed_deflation(monkeypatch):
+    # A numerical null space that keeps every dimension must stop the
+    # completion, not feed the next slot a basis of the wrong span.
+    monkeypatch.setattr(forms, "nullspace", lambda mat: np.eye(mat.shape[1], dtype=complex))
+    with pytest.raises(RuntimeError, match="did not remove two dimensions"):
+        witt_complete(make_space(1, 0, 3))
 
 
 def test_witt_complete_deterministic():

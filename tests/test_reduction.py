@@ -12,6 +12,7 @@ from fslab.forms import (
     make_space,
     random_group_element,
     random_isotropic,
+    witt_complete,
 )
 from fslab.crossratios import (
     ConfigTuple,
@@ -20,6 +21,7 @@ from fslab.crossratios import (
     pi4,
     random_generic_tuple,
 )
+from fslab import reduction
 from fslab.reduction import (
     CONDITION_LIMIT,
     ReductionResult,
@@ -448,3 +450,69 @@ def test_orthogonal_reductions_at_ranks_8_to_16_all_succeed():
             if res.residual > TOL_REDUCE:
                 failures.append((eps, d, r, k, index, res.residual))
     assert failures == []
+
+
+def suite_trial_96_quadruple():
+    """The moved quadruple ``t.apply(g)`` of trial 96 of ``verify --suite
+    reductions --eps 1 --d 1 --r 6`` (seed 0), rebuilt by replaying that
+    trial's draws.  Its Witt completion gets two unbalanced pairs, of norms
+    19.0/4.2 and 12.7/15.9; a completion that updated one n x n
+    omega-projector by rank two per slot failed its Gram check here at 1.9e-9."""
+    space = make_space(1, 1, 6)
+    rng = rng_for(0, "suite.reductions.1.1.6", 96)
+    for _ in range(7):  # the phi3 and phi4 round-trip coordinates
+        rng.normal(size=2)
+    random_generic_tuple(space, 3, rng)  # the trial's triple
+    t = random_generic_tuple(space, 4, rng)
+    return t.apply(random_group_element(space, rng))
+
+
+def test_suite_trial_96_quadruple_reduces():
+    res = reduce_quadruple(suite_trial_96_quadruple())
+    assert res.residual <= TOL_REDUCE
+    J = rebuilt_gram(1, 1, 6)
+    assert np.abs(res.g.m.T @ J @ res.g.m - J).max() <= 1e-9
+
+
+def unbalanced_pairs(space, k, rng):
+    """The k outermost pairs of a random isometry, each rescaled to
+    (alpha u, w / alpha) with |log alpha| <= 1.5: still adapted, but the two
+    norms of a pair differ by a factor of up to e^3."""
+    m = random_group_element(space, rng).m
+    pairs = []
+    for i in range(k):
+        alpha = np.exp(rng.uniform(-1.5, 1.5))
+        pairs.append((alpha * m[:, space.e_index(space.r - i)],
+                      m[:, space.f_index(space.r - i)] / alpha))
+    return pairs
+
+
+@pytest.mark.parametrize("eps,d", CASES)
+def test_witt_completion_of_given_unbalanced_pairs(eps, d, monkeypatch):
+    inputs = [(r, unbalanced_pairs(make_space(eps, d, r), k,
+                                   rng_for(11, f"witt.stress.{eps}.{d}.{r}.{k}", rep)))
+              for r in range(1, 21) for k in range(min(r, 2) + 1) for rep in range(2)]
+    if (eps, d) == (1, 1):
+        given = []
+
+        def recording(space, pairs=(), **kw):
+            given.append(pairs)
+            return witt_complete(space, pairs, **kw)
+
+        monkeypatch.setattr(reduction, "witt_complete", recording)
+        reduce_quadruple(suite_trial_96_quadruple())
+        inputs += [(6, pairs) for pairs in given]
+    # The residual is relative to max(1, max |T|^2), as in group_residual.
+    # The completion with one SVD and one omega-projector solve per slot
+    # reached 1.0e-13 at worst on these inputs (eps = +1, d = 1, r = 19,
+    # k = 1); the bound is 100 times that.
+    worst = 0.0
+    for r, pairs in inputs:
+        space = make_space(eps, d, r)
+        t = witt_complete(space, pairs)
+        J = rebuilt_gram(eps, d, r)
+        worst = max(worst, np.abs(t.T @ J @ t - J).max() / max(1.0, np.abs(t).max() ** 2))
+        for i, (u, w) in enumerate(pairs):
+            assert np.array_equal(t[:, space.e_index(r - i)], u)
+            assert np.array_equal(t[:, space.f_index(r - i)], w)
+    assert worst <= 1e-11
