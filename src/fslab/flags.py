@@ -13,9 +13,13 @@ B_4(F_inf, F_0, F_1, F_(a,b)) = 2 (D(a) + D(b)).
 
 Each construction is written once.  One batched sigma_3 kernel computes the
 classes of B rows of four flags at a table of index tuples.  One row-batched
-B_n calls it once per row, on the n(n^2-1)/6 classes with |J| = n-2 where a
-batched test certifies general position and on all n^4 elsewhere; ``b_n``,
-``cocycle_residual``, ``b4_so4_batch`` and the ``b-n`` sup problem use it.
+B_n serves ``b_n``, ``cocycle_residual``, ``b4_so4_batch`` and the ``b-n``
+sup problem, by three routes.  A batched test certifies general position
+from the determinants of the n x n blocks of the sums with |J| = n.  Rows
+whose every determinant clears sqrt(cut) n^(n/2) sum D of the cross-ratios
+of those determinants over the n(n^2-1)/6 classes with |J| = n-2, with no
+SVD; the guard keeps the cross-ratios' relative rounding near 1e-12.  Other
+certified rows run the kernel on those classes, and the rest on all n^4.
 One batched function makes the chains of boundary flags for
 ``BoundaryPoint.flag``, ``rho_flag`` and ``b4_so4_batch``.
 """
@@ -30,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .forms import RANK_RTOL, FormedSpace, GroupElement, make_space, normalize_projective
-from .dilog import vol_p1, vol_p1_batch
+from .dilog import bloch_wigner, vol_p1, vol_p1_batch
 
 _RANK_CUT = 1e-8  # relative singular-value threshold for all rank decisions
 
@@ -115,25 +119,26 @@ def _full_sums(n: int, k: int) -> np.ndarray:
     return table
 
 
-def _general_rows(ortho: np.ndarray, rtol: float = _RANK_CUT) -> np.ndarray:
+def _general_rows(ortho: np.ndarray, rtol: float = _RANK_CUT) -> tuple[np.ndarray, np.ndarray]:
     """Which of B rows of k flags, by their (B, k, n, n) orthonormal bases,
-    are in general position.
+    are in general position, and the (B, C) determinants of the n x n blocks
+    of the sums with |J| = n, in ``_full_sums`` order.
 
-    Only the n x n blocks of the sums with |J| = n are tested: a sum with
-    |J| < n is a subset of the columns of one, and dropping columns cannot
-    lower the ratio of the smallest to the largest singular value.  Columns
-    of unit length bound the largest by sqrt(n), so |det| / n^(n/2) bounds
-    the ratio from below; a block clearing the cut by a factor 2 that way
-    needs no SVD.
+    Only those blocks are tested: a sum with |J| < n is a subset of the
+    columns of one, and dropping columns cannot lower the ratio of the
+    smallest to the largest singular value.  Columns of unit length bound the
+    largest by sqrt(n), so |det| / n^(n/2) bounds the ratio from below; a
+    block clearing the cut by a factor 2 that way needs no SVD.
     """
     b, k, n, _ = ortho.shape
     # The basis columns as rows, gathered into (B, C, n, n) blocks.
     blocks = ortho.swapaxes(2, 3).reshape(b, k * n, n)[:, _full_sums(n, k)]
-    ok = np.abs(np.linalg.det(blocks)) > 2 * rtol * n ** (n / 2)
+    dets = np.linalg.det(blocks)
+    ok = np.abs(dets) > 2 * rtol * n ** (n / 2)
     if not ok.all():
         sv = np.linalg.svd(blocks[~ok], compute_uv=False)
         ok[~ok] = sv[:, -1] > rtol * sv[:, 0]
-    return ok.all(axis=1)
+    return ok.all(axis=1), dets
 
 
 def general_position(flags: Sequence[AffineFlag], *, rtol: float = _RANK_CUT) -> bool:
@@ -143,7 +148,7 @@ def general_position(flags: Sequence[AffineFlag], *, rtol: float = _RANK_CUT) ->
     for all index tuples with sum <= n, by numerical rank.  Flags of
     different dimensions raise ``ValueError``.
     """
-    return bool(_general_rows(np.stack([f.ortho for f in flags])[None], rtol)[0])
+    return bool(_general_rows(np.stack([f.ortho for f in flags])[None], rtol)[0][0])
 
 
 def random_flag_tuple(n: int, k: int, rng: np.random.Generator, *,
@@ -183,6 +188,22 @@ class Sigma3Class:
         return bool(norms.min() > rtol * max(self.scale, 1e-300))
 
 
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left factors and singular values of a stack of blocks.  LAPACK's SVD
+    can fail to converge on a wide block near rank loss; the conjugate
+    transposes are then tried, and ``RuntimeError`` raised if they fail too."""
+    try:
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
+        return u, s
+    except np.linalg.LinAlgError:
+        try:
+            _, s, vh = np.linalg.svd(a.conj().swapaxes(-1, -2), full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"the SVD of {a.shape[-2]} x {a.shape[-1]} sigma_3 blocks "
+                               "did not converge in either orientation") from exc
+        return vh.conj().swapaxes(-1, -2), s
+
+
 def _sigma3(ortho: np.ndarray, vecs: np.ndarray, J: np.ndarray):
     """The sigma_3 classes of B rows of four flags at C index tuples.
 
@@ -213,10 +234,10 @@ def _sigma3(ortho: np.ndarray, vecs: np.ndarray, J: np.ndarray):
     for width in set(size[size > 0].tolist()):
         group = size == width
         den = basis[:, kept[group, :width]].swapaxes(2, 3)               # (B, C_w, n, |J|)
-        u, sv, _ = np.linalg.svd(den, full_matrices=False)
+        u, sv = _svd(den)
         span = u * (sv > _RANK_CUT * sv[..., :1])[..., None, :]
         proj[:, group] -= span @ (span.conj().swapaxes(2, 3) @ raw[:, group])
-    uw, sw, _ = np.linalg.svd(proj, full_matrices=False)
+    uw, sw = _svd(proj)
     # Rank relative to the chain vectors' own magnitude: when the projection
     # annihilates them (numerator = denominator) the residue is rounding noise
     # and must count as rank zero, not as a full-rank spray of noise.
@@ -238,20 +259,46 @@ def _all_j(n: int) -> np.ndarray:
     return js
 
 
+@lru_cache(maxsize=None)
+def _cross_blocks(n: int) -> np.ndarray:
+    """Per J in {0..n-1}^4 with |J| = n-2, in ``_all_j`` order, the rows of
+    ``_full_sums(n, 4)`` for J+e_0+e_2, J+e_1+e_3, J+e_0+e_3 and J+e_1+e_2,
+    as a read-only (C, 4) array."""
+    row = {K: r for r, K in enumerate(K for K in product(range(n + 1), repeat=4) if sum(K) == n)}
+    step = np.eye(4, dtype=int)
+    table = np.array([[row[tuple(J + step[i] + step[k])] for i, k in ((0, 2), (1, 3), (0, 3), (1, 2))]
+                      for J in _all_j(n) if J.sum() == n - 2])
+    table.setflags(write=False)
+    return table
+
+
 def _b_rows(ortho: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """B_n of B rows of four flags, from (B, 4, n, n) stacks of orthonormal
     bases and chain vectors, and which rows are in general position.
 
-    Only the classes with |J| = n-2 contribute in general position.  Off it
-    others do, and only the sum of all n^4 stays a cocycle.
+    Three routes.  Off general position every class may contribute, and only
+    the sum of all n^4 stays a cocycle.  In it only the classes with
+    |J| = n-2 do, each a plane with four nonzero images x_i.  With Delta(K)
+    the determinants of ``_general_rows``, Delta(J+e_i+e_k) is
+    +-det_W c_i c_k det(x_i, x_k), as q_i^{j_i+1} maps to c_i x_i; the signs
+    and factors cancel in D(Delta_02 Delta_13 / (Delta_03 Delta_12)), the
+    class's volume.  Rows whose every |Delta| clears sqrt(cut) n^(n/2),
+    which puts their blocks' singular-value ratios above sqrt(cut) and so
+    the cross-ratios' relative rounding near 1e-12, take it with no SVD;
+    other general rows run the sigma_3 kernel on those classes.
     """
     n = ortho.shape[-1]
     general = np.empty(len(ortho), dtype=bool)
-    for rows in _row_chunks(np.arange(len(ortho)), len(_full_sums(n, 4))):
-        general[rows] = _general_rows(ortho[rows])
+    dets = np.empty((len(ortho), len(_full_sums(n, 4))), dtype=complex)
+    for rows in _row_chunks(np.arange(len(ortho)), dets.shape[1]):
+        general[rows], dets[rows] = _general_rows(ortho[rows])
+    clear = general & (np.abs(dets) > np.sqrt(_RANK_CUT) * n ** (n / 2)).all(axis=1)
     total = np.zeros(len(ortho))
+    if clear.any():
+        d = dets[clear][:, _cross_blocks(n)]
+        total[clear] = bloch_wigner(d[..., 0] * d[..., 1] / (d[..., 2] * d[..., 3])).sum(axis=1)
     every = _all_j(n)
-    for rows_of, js in ((general, every[every.sum(axis=1) == n - 2]), (~general, every)):
+    for rows_of, js in ((general & ~clear, every[every.sum(axis=1) == n - 2]), (~general, every)):
         for rows in _row_chunks(np.flatnonzero(rows_of), len(js)):
             total[rows] = _sigma3(ortho[rows], vecs[rows], js)[4].sum(axis=1)
     return total, general

@@ -5,6 +5,7 @@ import pytest
 
 from fslab.dilog import bloch_wigner, v_max
 from fslab.flags import (
+    _RANK_CUT,
     AffineFlag,
     BoundaryPoint,
     Sigma3Class,
@@ -26,6 +27,11 @@ from fslab.flags import (
     standard_flags_so4,
     t_j,
     vol_sigma3,
+    _all_j,
+    _b_rows,
+    _cross_blocks,
+    _general_rows,
+    _sigma3,
 )
 from fslab.forms import GroupElement, chordal_distance, random_group_element
 
@@ -264,6 +270,87 @@ def test_b2_is_bloch_wigner_of_the_first_vectors_cross_ratio():
         assert abs(b_n(flags) - bloch_wigner(cr)) <= 1e-12
 
 
+def _stacks(tuples):
+    """Rows of four flags as (B, 4, n, n) stacks of orthonormal bases and
+    chain vectors."""
+    return (np.stack([[f.ortho for f in four] for four in tuples]),
+            np.stack([[f.vecs for f in four] for four in tuples]))
+
+
+def _determinant_route(tuples):
+    """The rows of ``tuples`` that clear the determinant guard of ``_b_rows``,
+    with the per-class volumes of that route and of the sigma_3 kernel on
+    the classes with |J| = n-2, and the B_n of ``_b_rows``."""
+    ortho, vecs = _stacks(tuples)
+    n = ortho.shape[-1]
+    general, dets = _general_rows(ortho)
+    clear = general & (np.abs(dets) > np.sqrt(_RANK_CUT) * n ** (n / 2)).all(axis=1)
+    ortho, vecs, dets = ortho[clear], vecs[clear], dets[clear]
+    d = dets[:, _cross_blocks(n)]
+    route = bloch_wigner(d[..., 0] * d[..., 1] / (d[..., 2] * d[..., 3]))
+    js = _all_j(n)
+    _, _, _, plane, kernel = _sigma3(ortho, vecs, js[js.sum(axis=1) == n - 2])
+    assert plane.all()
+    return clear, route, kernel, _b_rows(ortho, vecs)[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_determinant_route_matches_the_sigma3_kernel(n):
+    """On rows that clear the guard, D of the cross-ratio of the block
+    determinants equals the kernel's volume class by class, and B_n their
+    sum."""
+    rng = np.random.default_rng(100 + n)
+    clear, route, kernel, total = _determinant_route([random_flag_tuple(n, 4, rng) for _ in range(24)])
+    assert clear.sum() >= 12
+    assert np.abs(route - kernel).max() <= 1e-12
+    assert np.abs(total - kernel.sum(axis=1)).max() <= 1e-12
+
+
+def test_determinant_route_matches_the_sigma3_kernel_on_b4_so4_rows():
+    rng = np.random.default_rng(110)
+    ab = 1.5 * (rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2)))
+    fixed = [flag_infinity(), standard_flags_so4(0, 0), standard_flags_so4(1, 1)]
+    clear, route, kernel, total = _determinant_route([fixed + [standard_flags_so4(a, b)] for a, b in ab])
+    assert clear.sum() >= 48
+    assert np.abs(route - kernel).max() <= 1e-12
+    assert np.abs(total - kernel.sum(axis=1)).max() <= 1e-12
+    assert np.abs(total - b4_so4_batch(ab[clear, 0], ab[clear, 1])).max() <= 1e-12
+
+
+def _mpmath_b_n(flags):
+    """B_n in general position at 30 digits, independently of both routes:
+    the sum over |J| = n-2 of D of the cross-ratio of the determinants of
+    the chain-vector blocks v_i^1..v_i^{k_i} at K = J+e_i+e_k."""
+    from itertools import product
+    import mpmath as mp
+    mp.mp.dps = 30
+    n = flags[0].n
+    vecs = [mp.matrix(f.vecs.tolist()) for f in flags]
+
+    def delta(K):
+        cols = [vecs[i][:, t] for i, k in enumerate(K) for t in range(k)]
+        return mp.det(mp.matrix([[c[r] for c in cols] for r in range(n)]))
+
+    def bloch_wigner_mp(z):
+        return mp.im(mp.polylog(2, z)) + mp.arg(1 - z) * mp.log(abs(z))
+
+    total = mp.mpf(0)
+    for J in product(range(n), repeat=4):
+        if sum(J) == n - 2:
+            d = [delta(tuple(j + (t in pair) for t, j in enumerate(J)))
+                 for pair in ((0, 2), (1, 3), (0, 3), (1, 2))]
+            total += bloch_wigner_mp(d[0] * d[1] / (d[2] * d[3]))
+    return float(total)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_b_n_matches_an_mpmath_reference(n):
+    rng = np.random.default_rng(120 + n)
+    for _ in range(2):
+        flags = random_flag_tuple(n, 4, rng)
+        assert abs(b_n(flags) - _mpmath_b_n(flags)) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_b_n_vanishes_on_a_repeated_flag(n):
     """Alternation forces B_n = 0 when two flags coincide; these tuples reach
@@ -470,3 +557,26 @@ def test_b4_so4_batch_special_points():
         want = 2.0 * (bloch_wigner(a[i]) + bloch_wigner(b[i]))
         assert abs(batch[i] - want) <= 1e-8
         assert abs(batch[i] - b4_so4(a[i], b[i])) <= 1e-8
+
+
+# Boundary points where LAPACK's SVD fails to converge on a wide sigma_3
+# denominator block (J = (0, 3, 0, 3) at (1e-7, 1), for example).
+_SVD_FAILURES = [(1e-7, 1), (3e-8, np.exp(1j * np.pi / 3)), (-1e-7, 1 + 1e-7), (1e-10, 1)]
+
+
+@pytest.mark.parametrize("a,b", _SVD_FAILURES)
+def test_b4_so4_near_the_boundary_survives_an_svd_failure(a, b):
+    want = 2.0 * (bloch_wigner(a) + bloch_wigner(b))
+    assert abs(b4_so4(a, b) - want) <= 1e-8
+    assert abs(b4_so4_batch(np.array([a]), np.array([b]))[0] - want) <= 1e-8
+
+
+def test_b4_so4_reports_an_svd_failure_in_both_orientations():
+    """At (1e-9, 1) the SVD may fail on a block and on its transpose; that is
+    a numerical failure, reported as ``RuntimeError``, never a LAPACK error."""
+    try:
+        value = b4_so4(1e-9, 1)
+    except RuntimeError as exc:
+        assert "did not converge" in str(exc)
+    else:
+        assert abs(value - 2.0 * bloch_wigner(1e-9)) <= 1e-8
