@@ -3,8 +3,7 @@
 Every stochastic routine in the package derives its randomness from an
 integer seed plus a string label plus a trial index.  Trial ``i`` of a
 labelled experiment sees the same stream no matter how trials are chunked
-across threads or reordered, which is what makes reports reproducible and
-thread-count independent.
+or reordered, which is what makes reports reproducible.
 """
 
 from __future__ import annotations

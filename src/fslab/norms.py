@@ -13,8 +13,6 @@ used to corroborate the closed forms.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -153,13 +151,6 @@ def family_norm(tag: FamilyTag) -> NormStatement:
 _CHUNK = 1 << 14
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("FSL_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
-
-
 def _scan_chunk(cocycle, sampler, seed: int, start: int, count: int):
     """Best |value| over one trial chunk: (value, global index, params row)."""
     try:
@@ -206,15 +197,14 @@ def estimate_sup(
     seed: int = 0,
     *,
     refine: bool = True,
-    threads: int | None = None,
 ) -> tuple[float, np.ndarray]:
     """Monte Carlo supremum of ``|cocycle|`` over seeded parameter samples.
 
     ``sampler(seed, start, count)`` must return a ``(count, dim)`` parameter
     array whose row ``i`` depends only on ``(seed, start + i)``, and
     ``cocycle`` maps a ``(B, dim)`` batch to ``B`` values.  The estimate is
-    then a pure function of ``(seed, trials)``: chunking, thread count
-    (``FSL_THREADS`` or ``threads``), and merge order cannot change it.
+    then a pure function of ``(seed, trials)``: the chunking and the merge
+    order of the chunk maxima cannot change it.
     Ties between equal maxima go to the smallest trial index.
 
     Returns ``(estimate, argmax parameters)``; with ``refine`` the argmax is
@@ -224,12 +214,7 @@ def estimate_sup(
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     spans = [(s, min(_CHUNK, trials - s)) for s in range(0, trials, _CHUNK)]
-    workers = _thread_count(threads)
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda sc: _scan_chunk(cocycle, sampler, seed, *sc), spans))
-    else:
-        results = [_scan_chunk(cocycle, sampler, seed, *sc) for sc in spans]
+    results = [_scan_chunk(cocycle, sampler, seed, *sc) for sc in spans]
     best_val, best_idx, best_params = results[0]
     for val, idx, params in results[1:]:
         if val > best_val or (val == best_val and idx < best_idx):
@@ -259,12 +244,11 @@ class SupProblem:
     target: float
     target_is_sup: bool = True
 
-    def estimate(self, trials: int, seed: int = 0, *, refine: bool | None = None,
-                 threads: int | None = None) -> tuple[float, np.ndarray]:
+    def estimate(self, trials: int, seed: int = 0, *,
+                 refine: bool | None = None) -> tuple[float, np.ndarray]:
         if refine is None:
             refine = self.target_is_sup
-        return estimate_sup(self.cocycle, self.sampler, trials, seed,
-                            refine=refine, threads=threads)
+        return estimate_sup(self.cocycle, self.sampler, trials, seed, refine=refine)
 
 
 def _sample_p1(seed: int, start: int, count: int) -> np.ndarray:
@@ -318,12 +302,11 @@ def sup_problem(name: str, *, n: int = 4) -> SupProblem:
     raise ValueError(f"unknown sup problem {name!r}; expected vol-p1 | b4-so4 | b-n")
 
 
-def operator_norm_res2(trials: int = 100_000, seed: int = 1, *,
-                       threads: int | None = None) -> tuple[Fraction, float]:
+def operator_norm_res2(trials: int = 100_000, seed: int = 1) -> tuple[Fraction, float]:
     """The norm ratio of the rank-2 restricted class against the ambient
     SL_4(C) generator: the exact value 4v/(10v) = 2/5, plus a Monte Carlo
     corroboration (sampled sup of the restricted cocycle divided by the
     ambient Gromov norm)."""
     prob = sup_problem("b4-so4")
-    est, _ = prob.estimate(trials, seed, threads=threads)
+    est, _ = prob.estimate(trials, seed)
     return Fraction(2, 5), est / gromov_norm_bn(4)

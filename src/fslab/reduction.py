@@ -7,6 +7,14 @@ two cross-ratios for quadruples, and on the face cross-ratio coordinates for
 quintuples.  This module builds the model tuples (``phi2``, ``phi3``,
 ``phi4``), computes the reducing group element, and reports residuals and a
 condition estimate for every reduction.
+
+Each reduction takes one Witt completion (``witt_complete``): its basis
+carries the outer hyperbolic pairs onto the standard ones.  For triples and
+quintuples, the component of the last vector in the remaining inner slots is
+then carried onto the model's by ``map_vector``, Witt's theorem in its
+elementary form: at most two reflections (eps = +1) or transvections
+(eps = -1).  They act on the inner component padded by zeros, so they fix
+the outer pairs exactly and need no embedding.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from .forms import (
     GroupElement,
     chordal_distance,
     complement_hat,
-    embed_iota,
     make_space,
     principal_sqrt,
     witt_complete,
@@ -199,89 +206,82 @@ def _certified(build, *args):
 # Mapping a vector onto an equal-q model vector
 # ----------------------------------------------------------------------
 
-def _isotropic_candidates(space: FormedSpace) -> list[np.ndarray]:
-    """Deterministic isotropic probe vectors: the standard pairs from the
-    outside in, then (d=1) a unit-slot combination that pairs with h."""
-    cand = []
-    for i in range(space.r, 0, -1):
-        cand.append(space.e(i))
-        cand.append(space.f(i))
-    if space.d == 1 and space.r >= 1 and space.eps == +1:
-        cand.append(space.h() + space.e(space.r) - 0.5 * space.f(space.r))
-    return cand
-
-
-def _best_candidate(space: FormedSpace, x: np.ndarray) -> np.ndarray:
-    cand = _isotropic_candidates(space)
-    scores = np.array([abs(space.omega(x, c)) / np.linalg.norm(c) for c in cand])
-    j = int(np.argmax(scores))
-    if scores[j] <= 1e-10 * np.linalg.norm(x):
-        raise ValueError("vector pairs with no isotropic direction (is it zero?)")
-    return cand[j]
-
-
-def _adapted_basis_for(space: FormedSpace, x: np.ndarray, qx: complex,
-                       isotropic: bool) -> np.ndarray:
-    """An adapted basis whose outer pair encodes x: for isotropic x the pair is
-    (x, partner); otherwise (x - (q/2)F, F) so that x = E + (q/2)F."""
-    c = _best_candidate(space, x)
-    if isotropic:
-        w = c / space.omega(x, c)
-        if space.eps == +1:
-            w = w - (space.q(w) / 2) * x
-        return _certified(witt_complete, space, [(x, w)])
-    f_vec = c / space.omega(x, c)
-    e_vec = x - (qx / 2) * f_vec
-    return _certified(witt_complete, space, [(e_vec, f_vec)])
+def _steps(space: FormedSpace, points: list[np.ndarray], floor: float):
+    """The rank-one steps ``g = I + v (v^T J) / c``, ``v = y - x``, carrying
+    each point x of ``points`` to the next one y, and the worst conditioning
+    ``|c| / |v|^2`` among them.  For eps = +1, ``c = -q(v)/2`` makes g the
+    reflection in v; for eps = -1, ``c = omega(v, x)`` makes it the
+    transvection along v.  A step with ``|v| <= floor`` is the identity:
+    rounding in q(v) would otherwise break it."""
+    steps = []
+    cond = np.inf
+    for x, y in zip(points, points[1:]):
+        v = y - x
+        v2 = float(np.vdot(v, v).real)
+        if v2 <= floor * floor:
+            continue
+        c = -space.q(v) / 2 if space.eps == +1 else space.omega(v, x)
+        steps.append((v, c))
+        cond = min(cond, abs(c) / v2)
+    return steps, cond
 
 
 def map_vector(space: FormedSpace, x: np.ndarray, target: np.ndarray, *,
                tol: float = TOL_REDUCE) -> GroupElement:
     """A group element carrying x to target; requires q(x) = q(target).
 
-    Both vectors are encoded in adapted bases through equal coordinates, so the
-    basis-change isometry maps one to the other (exactly for isotropic vectors,
-    up to the q-mismatch otherwise).
+    Witt's theorem in its elementary form: a product of at most two rank-one
+    isometries (see ``_steps``).  The routes tried are
+
+    * direct, x -> target.  The reflection needs q(x - target) != 0, the
+      transvection omega(target, x) != 0; both fail, for instance, for
+      isotropic x and target with omega(x, target) = 0.
+    * x -> z -> target through z = conj(J(x + target)) or
+      z = conj(J(x - target)).  As J^T J = 1, the step pairings omega(z, x)
+      and omega(target, z) are Hermitian products: |x|^2 +- <target, x> and
+      eps (<target, x> +- |target|^2).  So z+ fails only if <target, x> is
+      -|x|^2 or -|target|^2, and z- only if it is |x|^2 or |target|^2: one
+      of the two always works for eps = -1, and for eps = +1 when x is
+      isotropic and omega(x, target) = 0, since then q(z) = conj(q(x +-
+      target)) = 0 = q(x).
+    * for eps = +1, each z rescaled to q(z) = q(x): a reflection carries x
+      only onto a vector of the same q.
+
+    Routes are tried from the best-conditioned one; the first whose product
+    carries x onto target within the acceptance residual is returned.  Every
+    v and z vanishes wherever x and target both do, so padded vectors give a
+    g that fixes the padding slots exactly.
     """
     x = np.asarray(x, dtype=complex).reshape(space.n)
     target = np.asarray(target, dtype=complex).reshape(space.n)
-    if space.n == 0:
-        return GroupElement.create(space, np.zeros((0, 0), dtype=complex))
     qx = complex(space.q(x))
     qt = complex(space.q(target))
     scale = max(1.0, float(np.linalg.norm(x)) ** 2, float(np.linalg.norm(target)) ** 2)
     if abs(qx - qt) > 1e-6 * scale:
         raise ValueError(f"q mismatch: q(x) = {qx:.6g} but q(target) = {qt:.6g}")
-    if space.n == 1:
-        # O_1 = {+-1}: match the single coordinate as closely as possible.
-        s = +1.0 if abs(x[0] - target[0]) <= abs(x[0] + target[0]) else -1.0
-        return GroupElement.create(space, np.array([[s]], dtype=complex))
     if min(np.linalg.norm(x), np.linalg.norm(target)) < 1e-12 * np.sqrt(scale):
         raise ValueError("map_vector needs nonzero vectors")
-    isotropic = space.eps == -1 or abs(qx) <= 1e-8 * scale
-    b_x = _adapted_basis_for(space, x, qx, isotropic)
-    b_t = _adapted_basis_for(space, target, qt, isotropic)
-    inv_x = space.eps * (space.J @ b_x.T @ space.J)
-    g = _certified(GroupElement.create, space, b_t @ inv_x)
-    moved = g.m @ x
-    err = float(np.linalg.norm(moved - target)) / np.sqrt(scale)
-    if err > max(tol, 100 * abs(qx - qt) / scale):
-        raise RuntimeError(f"map_vector failed to carry x onto target (residual {err:.3e})")
-    return g
-
-
-def _embed_deep(inner: FormedSpace, space: FormedSpace, g: GroupElement | np.ndarray) -> GroupElement:
-    """Embed an isometry of a nested inner space into space, fixing all outer pairs."""
-    if isinstance(g, np.ndarray):
-        g = GroupElement.create(inner, g)
-    s = inner
-    while s.r < space.r:
-        nxt = make_space(s.eps, s.d, s.r + 1)
-        g = embed_iota(s, nxt, g)
-        s = nxt
-    if s.n != space.n:
-        raise ValueError("inner space does not nest inside the target space")
-    return g
+    accept = max(tol, 100 * abs(qx - qt) / scale)
+    floor = accept * np.sqrt(scale)
+    paths = [[x, target]]
+    for z in (np.conj(space.J @ (x + target)), np.conj(space.J @ (x - target))):
+        paths.append([x, z, target])
+        qz = space.q(z)
+        if space.eps == +1 and qz != 0:
+            paths.append([x, principal_sqrt(qx / qz) * z, target])
+    routes = sorted((_steps(space, p, floor) for p in paths), key=lambda sc: -sc[1])
+    err = np.inf
+    for steps, cond in routes:
+        if cond == 0:
+            break
+        m = np.eye(space.n, dtype=complex)
+        for v, c in steps:
+            m = m + np.outer(v, (v @ space.J) @ m) / c
+        res = float(np.linalg.norm(m @ x - target)) / np.sqrt(scale)
+        if res <= accept:
+            return _certified(GroupElement.create, space, m)
+        err = min(err, res)
+    raise RuntimeError(f"map_vector failed to carry x onto target (residual {err:.3e})")
 
 
 # ----------------------------------------------------------------------
@@ -342,11 +342,12 @@ def reduce_triple(t: ConfigTuple, *, tol: float = TOL_REDUCE, branch: int = +1) 
     g1 = _certified(GroupElement.create, space, basis.T @ space.J)
     y = g1.m @ t.vector(2)
     endpoint = max(abs(y[0] - lam), abs(y[-1] - lam)) / max(1.0, abs(lam))
-    inner = space.middle()
-    x = y[1:space.n - 1] / lam
-    target = x0_vector(space)[1:space.n - 1]
-    m = map_vector(inner, x, target, tol=tol)
-    g = embed_iota(inner, space, m) @ g1
+    if space.n == 2:  # (eps, d) = (-1, 0), r = 1: no inner slots
+        g = g1
+    else:
+        x = y / lam
+        x[[0, space.n - 1]] = 0
+        g = map_vector(space, x, x0_vector(space), tol=tol) @ g1
     canonical = phi2(space)
     residual = _moved_residual(t, g, canonical)
     condition = float(max(np.linalg.cond(basis), 1.0 / cert.min_pairing))
@@ -453,23 +454,18 @@ def reduce_quintuple(t: ConfigTuple, *, tol: float = TOL_REDUCE, branch: int = +
     )
 
     canonical = phi4(space, (a1, a2), (b1, b2), c1)
-    x_in = yp[2:n - 2]
+    x_in = yp.copy()
+    x_in[[0, 1, n - 2, n - 1]] = 0
     if r >= 3:
-        inner = make_space(eps, d, r - 2)
         if float(np.linalg.norm(x_in)) < 1e-8 * max(1.0, float(np.linalg.norm(yp))):
             raise ValueError(
                 "inconsistent quintuple: the normalized fifth vector has no inner "
                 "component although inner slots exist")
-        q_in = complex(inner.q(x_in))
-        target = inner.e(inner.r) + (q_in / 2) * inner.f(inner.r)
-        m = map_vector(inner, x_in, target, tol=tol)
-        g = _embed_deep(inner, space, m) @ base.g
+        target = space.e(r - 2) + (complex(space.q(x_in)) / 2) * space.f(r - 2)
+        g = map_vector(space, x_in, target, tol=tol) @ base.g
     elif (eps, d) == (+1, 1):  # r == 2: one unit slot absorbs the q-defect
-        inner = make_space(eps, d, 0)
-        tilde = _tilde_vector(space, coeffs)
-        target = principal_sqrt(-complex(space.q(tilde))) * inner.h()
-        m = map_vector(inner, x_in, target, tol=tol)
-        g = _embed_deep(inner, space, m) @ base.g
+        target = principal_sqrt(-complex(space.q(_tilde_vector(space, coeffs)))) * space.h()
+        g = map_vector(space, x_in, target, tol=tol) @ base.g
     else:  # (eps, d) == (-1, 0), r == 2: no inner slots at all
         g = base.g
     residual = _moved_residual(t, g, canonical)

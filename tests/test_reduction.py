@@ -191,6 +191,95 @@ def test_map_vector_anisotropic():
     assert np.abs(g.m @ x - y).max() < 1e-8 * max(1.0, np.linalg.norm(y))
 
 
+def rebuilt_gram(eps, d, r):
+    """J from its definition, independently of make_space: omega(e_i, f_i) = 1,
+    omega(f_i, e_i) = eps and q(h) = 1, in the order (e_r..e_1, [h,] f_1..f_r)."""
+    n = 2 * r + d
+    J = np.zeros((n, n), dtype=complex)
+    for i in range(1, r + 1):
+        J[r - i, r + d + i - 1] = 1
+        J[r + d + i - 1, r - i] = eps
+    if d == 1:
+        J[r, r] = 1
+    return J
+
+
+def assert_maps(space, x, t):
+    """map_vector carries x onto t and preserves the rebuilt Gram matrix."""
+    g = map_vector(space, x, t)
+    assert np.abs(g.m @ x - t).max() <= 1e-12 * max(1.0, np.abs(t).max())
+    J = rebuilt_gram(space.eps, space.d, space.r)
+    assert np.abs(g.m.T @ J @ g.m - J).max() <= 1e-12 * max(1.0, np.abs(g.m).max() ** 2)
+    return g.m
+
+
+@pytest.mark.parametrize("eps,d", CASES)
+def test_map_vector_between_orthogonal_isotropic_vectors(eps, d):
+    # omega(x, t) = 0 and q = 0: the direct reflection or transvection
+    # degenerates, so g goes through z = conj(J(x +- t)).
+    space = make_space(eps, d, 2)
+    assert_maps(space, space.e(1), space.e(2))
+
+
+def test_map_vector_scales_an_isotropic_line():
+    # In O(2) an isometry fixing the line of e_1 is diagonal.
+    space = make_space(1, 0, 1)
+    lam = np.exp(0.7j)
+    m = assert_maps(space, space.e(1), lam * space.e(1))
+    assert np.abs(m - np.diag([lam, 1 / lam])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("eps,d,r", [(1, 1, 0), (1, 0, 2), (1, 1, 2), (-1, 0, 2)])
+def test_map_vector_onto_minus_x(eps, d, r):
+    space = make_space(eps, d, r)
+    x = np.random.default_rng(3).normal(size=space.n) + 0j
+    m = assert_maps(space, x, -x)
+    if space.n == 1:
+        assert m[0, 0] == -1
+
+
+def test_map_vector_onto_x_is_the_identity():
+    space = make_space(1, 1, 2)
+    x = np.random.default_rng(4).normal(size=space.n) + 1j
+    assert np.array_equal(map_vector(space, x, x).m, np.eye(space.n))
+
+
+@pytest.mark.parametrize("eps,d", CASES)
+def test_map_vector_fixes_the_padding_slots(eps, d):
+    # x and t = h x for an isometry h of the inner rank-2 space, padded by
+    # zeros on the outer pair (e_3, f_3) of the rank-3 space.
+    space = make_space(eps, d, 3)
+    rng = np.random.default_rng(5)
+    x = np.zeros(space.n, dtype=complex)
+    t = np.zeros(space.n, dtype=complex)
+    x[1:-1] = rng.normal(size=space.n - 2) + 1j * rng.normal(size=space.n - 2)
+    t[1:-1] = random_group_element(make_space(eps, d, 2), rng).m @ x[1:-1]
+    m = assert_maps(space, x, t)
+    outer = [0, space.n - 1]
+    assert np.array_equal(m[:, outer], np.eye(space.n)[:, outer])
+    assert np.array_equal(m[outer, :], np.eye(space.n)[outer, :])
+
+
+# (eps, d, r, index): x = w + 1e-5 v / |v| for an isotropic w drawn with
+# rng_for(0, "near-isotropic", index), and t = g x for a random isometry g.
+# Mapping x through two Witt bases raised "pairs are not adapted" on these.
+NEAR_ISOTROPIC_REPRODUCERS = [(1, 0, 2, 39), (1, 1, 2, 2)]
+
+
+@pytest.mark.parametrize("eps,d,r,index", NEAR_ISOTROPIC_REPRODUCERS)
+def test_map_vector_near_isotropic_reproducers(eps, d, r, index):
+    space = make_space(eps, d, r)
+    rng = rng_for(0, "near-isotropic", index)
+    w = random_isotropic(space, rng).vec
+    v = rng.standard_normal(space.n) + 1j * rng.standard_normal(space.n)
+    x = w + 1e-5 * v / np.linalg.norm(v)
+    t = random_group_element(space, rng).m @ x
+    g = map_vector(space, x, t)
+    assert np.linalg.norm(g.m @ x - t) <= TOL_REDUCE * max(1.0, np.linalg.norm(t))
+    J = rebuilt_gram(eps, d, r)
+    assert np.abs(g.m.T @ J @ g.m - J).max() <= 1e-9
+
+
 def test_map_vector_rejects_q_mismatch():
     space = make_space(1, 0, 2)
     with pytest.raises(ValueError, match="q mismatch"):
@@ -404,19 +493,6 @@ def test_so4_rank2_relation_needs_quintuple():
 REDUCERS = {4: reduce_quadruple, 5: reduce_quintuple}
 
 
-def rebuilt_gram(eps, d, r):
-    """J from its definition, independently of make_space: omega(e_i, f_i) = 1,
-    omega(f_i, e_i) = eps and q(h) = 1, in the order (e_r..e_1, [h,] f_1..f_r)."""
-    n = 2 * r + d
-    J = np.zeros((n, n), dtype=complex)
-    for i in range(1, r + 1):
-        J[r - i, r + d + i - 1] = 1
-        J[r + d + i - 1, r - i] = eps
-    if d == 1:
-        J[r, r] = 1
-    return J
-
-
 # (eps, d, r, index, k): the first k points of the quintuple drawn with
 # rng_for(0, "x", index).  Witt completion failed on each while its completed
 # pairs were not norm-balanced (entries grew to about 1e8 and the rank cut of
@@ -450,6 +526,44 @@ def test_orthogonal_reductions_at_ranks_8_to_16_all_succeed():
             if res.residual > TOL_REDUCE:
                 failures.append((eps, d, r, k, index, res.residual))
     assert failures == []
+
+
+def integer_isotropic(space, rng):
+    """An isotropic vector with coordinates in {-2, ..., 2}, by rejection."""
+    while True:
+        v = rng.integers(-2, 3, size=space.n).astype(complex)
+        if v.any() and space.q(v) == 0:
+            return v
+
+
+def test_certified_integer_tuples_reduce():
+    # Structured inputs: many coordinates vanish or coincide, so the direct
+    # rank-one step of map_vector degenerates far more often than on Gaussian
+    # tuples.  Every tuple that passes certification must reduce.
+    reducers = {3: reduce_triple, **REDUCERS}
+    certified = 0
+    failures = []
+    for eps, d in CASES:
+        for k, lowest in ((3, min_rank(eps, d)), (4, 2), (5, min_rank(eps, d) + 1)):
+            for r in range(max(lowest, 1), 5):
+                space = make_space(eps, d, r)
+                J = rebuilt_gram(eps, d, r)
+                rng = np.random.default_rng([eps + 1, d, r, k])
+                for rep in range(30):
+                    vecs = [integer_isotropic(space, rng) for _ in range(k)]
+                    try:
+                        res = reducers[k](ConfigTuple.from_vectors(space, vecs))
+                    except GenericityError:
+                        continue
+                    except (RuntimeError, ValueError) as exc:
+                        failures.append((eps, d, r, k, rep, str(exc)))
+                        continue
+                    certified += 1
+                    gram_err = np.abs(res.g.m.T @ J @ res.g.m - J).max()
+                    if res.residual > TOL_REDUCE or gram_err > 1e-9:
+                        failures.append((eps, d, r, k, rep, res.residual, gram_err))
+    assert failures == []
+    assert certified >= 300
 
 
 def suite_trial_96_quadruple():
